@@ -30,7 +30,7 @@ from .fixedpoint import (
     SaturationStats,
     make_stream,
 )
-from .lsmr import LsmrJob, lsmr_solve_multi, split_ranges
+from .lsmr import SQRT_PATHS, LsmrJob, lsmr_solve_multi, split_ranges
 from .matrix import quantize_matrix
 
 ARITHMETICS = ("real", "fixed16", "fixed32")
@@ -77,6 +77,10 @@ class NetworkConfig:
             raise ValueError("iterations must be non-negative")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.lsmr_iterations is not None and self.lsmr_iterations < 1:
+            raise ValueError("lsmr_iterations must be at least 1")
+        if self.sqrt_path not in SQRT_PATHS:
+            raise ValueError(f"sqrt_path must be one of {SQRT_PATHS}")
         self.layer_dims = dims
         self.betas()
         self.gammas()
@@ -258,7 +262,7 @@ class SolveEngine:
     """Runs batched multi-column least-squares jobs for the trainer.
 
     Owns the worker pool, the quantize/dequantize hop for fixed arithmetic,
-    per-job random streams for stochastic rounding, and per-chunk timing.
+    per-job random streams for stochastic rounding, and per-wave timing.
     Chunks of one wave run concurrently; results are assembled on the caller
     thread in a fixed order, so any worker count produces identical state.
     """
@@ -292,7 +296,9 @@ class SolveEngine:
         """
         prep_start = time.perf_counter()
         job_id = self._next_job_id()
-        iters = self.cfg.lsmr_iterations or min(a.shape)
+        iters = self.cfg.lsmr_iterations
+        if iters is None:
+            iters = min(a.shape)
         n, p = a.shape[1], b.shape[1]
         seed = self.cfg.seed
 
@@ -320,7 +326,6 @@ class SolveEngine:
                 res = lsmr_solve_multi(
                     sub,
                     mode=self.mode,
-                    workers=1,
                     stream_factory=stream_factory,
                     sqrt_path=self.cfg.sqrt_path,
                     stats=stats,
@@ -347,20 +352,35 @@ class SolveEngine:
         return tasks, collect, finish, time.perf_counter() - prep_start
 
     def run_wave(self, prepared: list) -> list[tuple[np.ndarray, float]]:
-        """Execute every chunk task of several prepared jobs concurrently."""
+        """Execute every chunk task of several prepared jobs concurrently.
+
+        Returns each job's solution and seconds: its preparation time plus a
+        share of the wave's wall time in proportion to its chunks' busy time,
+        so the jobs' seconds add up to wall time at any worker count.
+        """
+        wave_start = time.perf_counter()
         flat: list[tuple[int, object]] = []
         for idx, (tasks, _, _, _) in enumerate(prepared):
             for t in tasks:
                 flat.append((idx, t))
-        seconds = [prepared[i][3] for i in range(len(prepared))]
         if self.pool is None:
             outcomes = [(idx, t()) for idx, t in flat]
         else:
             futures = [(idx, self.pool.submit(t)) for idx, t in flat]
             outcomes = [(idx, f.result()) for idx, f in futures]
+        busy = [0.0] * len(prepared)
         for idx, result in outcomes:
-            seconds[idx] += prepared[idx][1](result)
-        return [(prepared[i][2](), seconds[i]) for i in range(len(prepared))]
+            busy[idx] += prepared[idx][1](result)
+        solutions = [finish() for _, _, finish, _ in prepared]
+        wall = time.perf_counter() - wave_start
+        total_busy = sum(busy)
+        shares = [
+            b / total_busy if total_busy > 0 else 1.0 / len(prepared) for b in busy
+        ]
+        return [
+            (sol, prep[3] + wall * share)
+            for sol, prep, share in zip(solutions, prepared, shares)
+        ]
 
 
 def weight_update(
@@ -509,10 +529,12 @@ def train(
             report.saturation_per_iteration.append(engine.saturation.events - sat_before)
             if cfg.arithmetic == "real":
                 _check_finite(state)
+        # the sweeps' wall time; like creating the pool, shutting it down is
+        # no part of a sweep
+        report.wall_seconds = time.perf_counter() - wall_start
     finally:
         engine.close()
 
-    report.wall_seconds = time.perf_counter() - wall_start
     outputs = predict(state.weights, x0)
     report.train_accuracy = accuracy(outputs, train_set.labels)
     if test_set is not None:

@@ -10,7 +10,7 @@ import statistics
 import sys
 
 from . import data as datamod
-from .admm import NetworkConfig, TrainReport, train
+from .admm import NetworkConfig, TrainingDivergedError, TrainReport, train
 from .data import DataError, Dataset
 from .fixedpoint import FIXED16, FIXED32, RoundingMode, convert, value_of
 
@@ -22,7 +22,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, OSError, ValueError) as exc:
+    except (DataError, OSError, ValueError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,14 +1,13 @@
-"""Truncated LSMR least-squares solver with real and fixed-point paths.
+"""Truncated LSMR least-squares solver with real and fixed-point arithmetic.
 
 The solver runs a fixed iteration budget (default ``min(m, n)``) with no
-stopping rules.  Multi-right-hand-side problems are solved column by column;
-columns are independent, so disjoint column ranges can be handed to a worker
-pool and reassembled in any order without changing the result.
+stopping rules.  One recurrence serves both arithmetics: it advances a block
+of right-hand-side columns together against an ops object that supplies the
+arithmetic, and keeps every column independent of the others, so any split
+of the columns into blocks gives bit-identical results.
 """
 from __future__ import annotations
 
-import math
-from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,180 +15,62 @@ import numpy as np
 
 from .fixedpoint import (
     FixedFormat,
+    FixedFormatError,
     FixedWord,
     RoundingMode,
     SaturationStats,
     cast_wide_array,
     cast_wide_simple_array,
-    divide_f,
-    float_sqrt,
     float_sqrt_array,
-    integer_sqrt,
     integer_sqrt_array,
-    multiply_f,
     trunc_div_array,
 )
 from .matrix import FixedMatrix, accumulate_product_wide, sum_squares_wide, transpose_fixed
 
 StreamFactory = Callable[[int], np.random.Generator]
+SQRT_PATHS = ("float", "integer")
 
 
-# -- Givens rotations ----------------------------------------------------------
+# -- arithmetics ---------------------------------------------------------------
 
-def sym(a: float, b: float) -> tuple[float, float, float]:
-    """Stable Givens rotation (c, s, r) zeroing the second component.
+class _RealOps:
+    """Float64 arithmetic, column by column.
 
-    Divides by the larger-magnitude argument so the ratio stays in [-1, 1].
-    The degenerate (0, 0) input returns the identity rotation.
+    Products and norms make one BLAS call per column (gemv and dot), never a
+    GEMM over the block: GEMM may round differently from gemv depending on
+    the block shape, which would tie each column's result to its block.
     """
-    if a == 0.0 and b == 0.0:
-        return 1.0, 0.0, 0.0
-    if abs(b) > abs(a):
-        tau = a / b
-        s = _sign(b) / math.sqrt(1.0 + tau * tau)
-        c = s * tau
-        r = b / s
-    else:
-        tau = b / a
-        c = _sign(a) / math.sqrt(1.0 + tau * tau)
-        s = c * tau
-        r = a / c
-    return c, s, r
 
+    zero = 0.0
+    one = 1.0
+    minus_one = -1.0
 
-def _sign(x: float) -> float:
-    return 1.0 if x >= 0 else -1.0
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a * b
 
+    def div(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        return num / den
 
-def sym_fixed(
-    a: FixedWord,
-    b: FixedWord,
-    mode: RoundingMode = RoundingMode.NEAREST,
-    rng: np.random.Generator | None = None,
-    sqrt_path: str = "float",
-) -> tuple[FixedWord, FixedWord, FixedWord]:
-    """Fixed-point Givens rotation following the same branch structure."""
-    fmt = a.fmt
-    if a.rep == 0 and b.rep == 0:
-        return FixedWord(fmt.one, fmt), FixedWord(0, fmt), FixedWord(0, fmt)
-    take_b = abs(b.rep) > abs(a.rep)
-    big, small = (b, a) if take_b else (a, b)
-    tau = divide_f(small, big)
-    # 1 + tau^2 held exactly in the wide container (2*FL fraction bits).
-    wide = (1 << (2 * fmt.fraction_length)) + tau.rep * tau.rep
-    root = float_sqrt(wide, fmt) if sqrt_path == "float" else integer_sqrt(wide, fmt)
-    sign = FixedWord(fmt.one if big.rep >= 0 else fmt.minus_one, fmt)
-    lead = divide_f(sign, root)
-    other = multiply_f(lead, tau, mode, rng)
-    r = divide_f(big, lead)
-    if take_b:
-        return other, lead, r
-    return lead, other, r
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a + b
 
+    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a - b
 
-# -- real path -----------------------------------------------------------------
+    def neg(self, a: np.ndarray) -> np.ndarray:
+        return -a
 
-@dataclass
-class LsmrScratch:
-    """Per-job workspace: the materialised transpose plus iteration vectors."""
+    def matmul(self, a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        rows = np.ascontiguousarray(cols.T, dtype=np.float64)
+        return np.matmul(a, rows[..., None])[..., 0].T
 
-    a_transposed: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    h: np.ndarray
-    hbar: np.ndarray
-    x: np.ndarray
+    def norm_cols(self, cols: np.ndarray) -> np.ndarray:
+        rows = np.ascontiguousarray(cols.T, dtype=np.float64)
+        return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
-    @classmethod
-    def for_matrix(cls, a: np.ndarray, a_transposed: np.ndarray | None = None) -> "LsmrScratch":
-        m, n = a.shape
-        if a_transposed is None:
-            a_transposed = np.ascontiguousarray(a.T)
-        return cls(
-            a_transposed=a_transposed,
-            u=np.zeros(m),
-            v=np.zeros(n),
-            h=np.zeros(n),
-            hbar=np.zeros(n),
-            x=np.zeros(n),
-        )
-
-
-def lsmr_solve(
-    a: np.ndarray,
-    b: np.ndarray,
-    iters: int | None = None,
-    scratch: LsmrScratch | None = None,
-) -> np.ndarray:
-    """Approximate ``argmin_x ||a x - b||_2`` by running the bidiagonalization
-    recurrences for exactly ``iters`` iterations (default ``min(m, n)``).
-
-    A zero right-hand side returns the zero vector; an exactly zero alpha or
-    beta mid-loop (an exhausted Krylov space) stops early with the current
-    iterate.
-    """
-    m, n = a.shape
-    if b.shape != (m,):
-        raise ValueError(f"shape mismatch: a is {a.shape}, b is {b.shape}")
-    if iters is None:
-        iters = min(m, n)
-    if scratch is None:
-        scratch = LsmrScratch.for_matrix(a)
-    at = scratch.a_transposed
-    u, v, h, hbar, x = scratch.u, scratch.v, scratch.h, scratch.hbar, scratch.x
-    x.fill(0.0)
-    beta = float(np.linalg.norm(b))
-    if beta == 0.0:
-        return x.copy()
-    np.divide(b, beta, out=u)
-    w = at @ u
-    alpha = float(np.linalg.norm(w))
-    if alpha == 0.0:
-        return x.copy()
-    np.divide(w, alpha, out=v)
-    zetabar = alpha * beta
-    alphabar = alpha
-    rho = rhobar = cbar = 1.0
-    sbar = 0.0
-    np.copyto(h, v)
-    hbar.fill(0.0)
-    for _ in range(iters):
-        s_vec = a @ v - alpha * u
-        beta = float(np.linalg.norm(s_vec))
-        if beta > 0.0:
-            np.divide(s_vec, beta, out=u)
-        else:
-            u.fill(0.0)
-        t_vec = at @ u - beta * v
-        alpha_new = float(np.linalg.norm(t_vec))
-        if alpha_new > 0.0:
-            np.divide(t_vec, alpha_new, out=v)
-        c, s, rho_new = sym(alphabar, beta)
-        alphabar = c * alpha_new
-        theta = s * alpha_new
-        cbar, sbar_new, rhobar_new = sym(cbar * rho_new, theta)
-        if rho_new == 0.0 or rhobar_new == 0.0:
-            break
-        zeta = cbar * zetabar
-        zetabar = -sbar_new * zetabar
-        hbar *= -(sbar * rho_new * rho_new) / (rho * rhobar)
-        hbar += h
-        x += (zeta / (rho_new * rhobar_new)) * hbar
-        h *= -(theta / rho_new)
-        h += v
-        rho, rhobar, sbar = rho_new, rhobar_new, sbar_new
-        alpha = alpha_new
-        if beta == 0.0 or alpha_new == 0.0:
-            # Exhausted Krylov space: the rotation above already folded the
-            # last finished factorization step into x, so stop here.
-            break
-    return x.copy()
-
-
-# -- fixed path ------------------------------------------------------------------
-
-def _safe(den: np.ndarray, fmt: FixedFormat) -> np.ndarray:
-    return np.where(den == 0, np.int64(fmt.one), den)
+    def hypot1(self, tau: np.ndarray) -> np.ndarray:
+        """``sqrt(1 + tau**2)``."""
+        return np.sqrt(1.0 + tau * tau)
 
 
 class _FixedOps:
@@ -199,6 +80,8 @@ class _FixedOps:
     columns computes bit-identical results to solving each column alone.
     """
 
+    zero = np.int64(0)
+
     def __init__(
         self,
         fmt: FixedFormat,
@@ -207,11 +90,15 @@ class _FixedOps:
         sqrt_path: str,
         stats: SaturationStats | None,
     ) -> None:
+        if sqrt_path not in SQRT_PATHS:
+            raise ValueError(f"sqrt_path must be one of {SQRT_PATHS}, got {sqrt_path!r}")
         self.fmt = fmt
         self.mode = mode
         self.col_rngs = col_rngs
         self.sqrt_path = sqrt_path
         self.stats = stats
+        self.one = np.int64(fmt.one)
+        self.minus_one = np.int64(fmt.minus_one)
 
     def cast(self, wide: np.ndarray) -> np.ndarray:
         return cast_wide_array(
@@ -238,112 +125,136 @@ class _FixedOps:
         return self.cast(accumulate_product_wide(a_reps, b_reps, self.fmt, self.stats))
 
     def norm_cols(self, reps: np.ndarray) -> np.ndarray:
-        wide = sum_squares_wide(reps, self.fmt, self.stats)
+        return self._sqrt_wide(sum_squares_wide(reps, self.fmt, self.stats))
+
+    def hypot1(self, tau: np.ndarray) -> np.ndarray:
+        """``sqrt(1 + tau**2)``, with ``1 + tau**2`` held exactly in the wide
+        container (2*FL fraction bits)."""
+        return self._sqrt_wide((1 << (2 * self.fmt.fraction_length)) + tau * tau)
+
+    def _sqrt_wide(self, wide: np.ndarray) -> np.ndarray:
         if self.sqrt_path == "float":
             return float_sqrt_array(wide, self.fmt)
         return integer_sqrt_array(wide, self.fmt)
 
-    def sym_cols(
-        self, a: np.ndarray, b: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        fmt = self.fmt
-        one = np.int64(fmt.one)
-        take_b = np.abs(b) > np.abs(a)
-        big = np.where(take_b, b, a)
-        small = np.where(take_b, a, b)
-        tau = self.div(small, _safe(big, fmt))
-        wide = (1 << (2 * fmt.fraction_length)) + tau * tau
-        if self.sqrt_path == "float":
-            root = float_sqrt_array(wide, fmt)
-        else:
-            root = integer_sqrt_array(wide, fmt)
-        sign = np.where(big >= 0, one, np.int64(fmt.minus_one))
-        lead = self.div(sign, _safe(root, fmt))
-        other = self.mul(lead, tau)
-        r = self.div(big, _safe(lead, fmt))
-        c = np.where(take_b, other, lead)
-        s = np.where(take_b, lead, other)
-        degenerate = (a == 0) & (b == 0)
-        c = np.where(degenerate, one, c)
-        s = np.where(degenerate, np.int64(0), s)
-        r = np.where(degenerate, np.int64(0), r)
-        return c, s, r
+
+Ops = _RealOps | _FixedOps
 
 
-def _solve_fixed_block(
-    a_reps: np.ndarray,
-    at_reps: np.ndarray,
-    b_reps: np.ndarray,
-    fmt: FixedFormat,
-    iters: int,
-    mode: RoundingMode,
-    col_rngs: list[np.random.Generator] | None,
-    sqrt_path: str,
-    stats: SaturationStats | None,
+def _safe(den: np.ndarray, ops: Ops) -> np.ndarray:
+    return np.where(den == 0, ops.one, den)
+
+
+# -- Givens rotations ----------------------------------------------------------
+
+def _sym_cols(
+    ops: Ops, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable Givens rotations (c, s, r) zeroing ``b``, one per lane.
+
+    Divides by the larger-magnitude argument so the ratio stays in [-1, 1].
+    The degenerate (0, 0) input returns the identity rotation.
+    """
+    take_b = np.abs(b) > np.abs(a)
+    big = np.where(take_b, b, a)
+    small = np.where(take_b, a, b)
+    tau = ops.div(small, _safe(big, ops))
+    sign = np.where(big >= 0, ops.one, ops.minus_one)
+    lead = ops.div(sign, _safe(ops.hypot1(tau), ops))
+    other = ops.mul(lead, tau)
+    r = ops.div(big, _safe(lead, ops))
+    degenerate = (a == 0) & (b == 0)
+    c = np.where(degenerate, ops.one, np.where(take_b, other, lead))
+    s = np.where(degenerate, ops.zero, np.where(take_b, lead, other))
+    r = np.where(degenerate, ops.zero, r)
+    return c, s, r
+
+
+def sym(a: float, b: float) -> tuple[float, float, float]:
+    """Stable Givens rotation (c, s, r) zeroing the second component."""
+    c, s, r = _sym_cols(_RealOps(), np.array([float(a)]), np.array([float(b)]))
+    return float(c[0]), float(s[0]), float(r[0])
+
+
+def sym_fixed(
+    a: FixedWord,
+    b: FixedWord,
+    mode: RoundingMode = RoundingMode.NEAREST,
+    rng: np.random.Generator | None = None,
+    sqrt_path: str = "float",
+) -> tuple[FixedWord, FixedWord, FixedWord]:
+    """Fixed-point Givens rotation: the same rotation in word arithmetic."""
+    fmt = a.fmt
+    if b.fmt != fmt:
+        raise FixedFormatError(f"format mismatch: {fmt} vs {b.fmt}")
+    ops = _FixedOps(fmt, mode, None if rng is None else [rng], sqrt_path, None)
+    reps = np.array([[a.rep], [b.rep]], dtype=np.int64)
+    return tuple(FixedWord(int(v[0]), fmt) for v in _sym_cols(ops, reps[0], reps[1]))
+
+
+# -- the recurrence --------------------------------------------------------------
+
+def _solve_block(
+    ops: Ops, a: np.ndarray, at: np.ndarray, b: np.ndarray, iters: int
 ) -> np.ndarray:
     """Run the solver recurrences on a block of right-hand-side columns.
 
-    All arithmetic is integer, and every reduction keeps a fixed per-column
+    ``at`` is ``a`` transposed.  Every reduction keeps a fixed per-column
     order, so the block result is bit-identical to solving each column on its
     own.  Columns that break down (zero norm or a quotient denominator that
-    rounds to zero) freeze at their current iterate; a zero input column
-    yields a zero solution column.
+    is zero) freeze at their current iterate; a zero input column yields a
+    zero solution column.
     """
-    m, n = a_reps.shape
-    p = b_reps.shape[1]
-    ops = _FixedOps(fmt, mode, col_rngs, sqrt_path, stats)
-    one = np.int64(fmt.one)
-    zeros_p = np.zeros(p, dtype=np.int64)
+    p = b.shape[1]
 
-    x_out = np.zeros((n, p), dtype=np.int64)
-    beta = ops.norm_cols(b_reps)
+    beta = ops.norm_cols(b)
     active = beta != 0
-    u = ops.div(b_reps, _safe(beta, fmt))
-    w = ops.matmul(at_reps, u)
+    u = ops.div(b, _safe(beta, ops))
+    w = ops.matmul(at, u)
     alpha = ops.norm_cols(w)
     active &= alpha != 0
-    v = ops.div(w, _safe(alpha, fmt))
+    v = ops.div(w, _safe(alpha, ops))
 
     zetabar = ops.mul(alpha, beta)
     alphabar = alpha.copy()
-    rho = np.full(p, one)
-    rhobar = np.full(p, one)
-    cbar = np.full(p, one)
-    sbar = zeros_p.copy()
+    rho = np.full(p, ops.one)
+    rhobar = np.full(p, ops.one)
+    cbar = np.full(p, ops.one)
+    sbar = np.full(p, ops.zero)
     h = v.copy()
-    hbar = np.zeros((n, p), dtype=np.int64)
+    hbar = np.zeros_like(v)
+    x = np.zeros_like(v)
 
     for _ in range(iters):
         if not active.any():
             break
-        av = ops.matmul(a_reps, v)
-        s_vec = ops.sub(av, ops.mul(u, alpha))
+        s_vec = ops.sub(ops.matmul(a, v), ops.mul(u, alpha))
         beta = ops.norm_cols(s_vec)
         # A zero norm means the vector itself is all zeros, so the guarded
         # division below already yields the zero vector on breakdown lanes.
-        u_new = ops.div(s_vec, _safe(beta, fmt))
-        atu = ops.matmul(at_reps, u_new)
-        t_vec = ops.sub(atu, ops.mul(v, beta))
+        u_new = ops.div(s_vec, _safe(beta, ops))
+        t_vec = ops.sub(ops.matmul(at, u_new), ops.mul(v, beta))
         alpha_new = ops.norm_cols(t_vec)
-        v_new = ops.div(t_vec, _safe(alpha_new, fmt))
+        v_new = ops.div(t_vec, _safe(alpha_new, ops))
 
-        c, s, rho_new = ops.sym_cols(alphabar, beta)
+        c, s, rho_new = _sym_cols(ops, alphabar, beta)
         alphabar_new = ops.mul(c, alpha_new)
         theta = ops.mul(s, alpha_new)
-        cbar_new, sbar_new, rhobar_new = ops.sym_cols(ops.mul(cbar, rho_new), theta)
+        cbar_new, sbar_new, rhobar_new = _sym_cols(ops, ops.mul(cbar, rho_new), theta)
         zeta = ops.mul(cbar_new, zetabar)
         zetabar_new = ops.neg(ops.mul(sbar_new, zetabar))
 
         den_prev = ops.mul(rho, rhobar)
         den_cur = ops.mul(rho_new, rhobar_new)
-        # Quotient denominators that round to zero cannot be completed at
-        # all: freeze those lanes without applying this iteration.
+        # Quotient denominators that are (or round to) zero cannot be
+        # completed at all: freeze those lanes without applying this
+        # iteration.
         commit = active & (den_prev != 0) & (den_cur != 0) & (rho_new != 0)
-        coef_hbar = ops.div(ops.mul(ops.mul(sbar, rho_new), rho_new), _safe(den_prev, fmt))
+        coef_hbar = ops.div(ops.mul(ops.mul(sbar, rho_new), rho_new), _safe(den_prev, ops))
         hbar_new = ops.sub(h, ops.mul(hbar, coef_hbar))
-        coef_x = ops.div(zeta, _safe(den_cur, fmt))
-        x_new = ops.add(x_out, ops.mul(hbar_new, coef_x))
-        coef_h = ops.div(theta, _safe(rho_new, fmt))
+        coef_x = ops.div(zeta, _safe(den_cur, ops))
+        x_new = ops.add(x, ops.mul(hbar_new, coef_x))
+        coef_h = ops.div(theta, _safe(rho_new, ops))
         h_new = ops.sub(v_new, ops.mul(h, coef_h))
 
         row_commit = commit[None, :]
@@ -351,7 +262,7 @@ def _solve_fixed_block(
         v = np.where(row_commit, v_new, v)
         h = np.where(row_commit, h_new, h)
         hbar = np.where(row_commit, hbar_new, hbar)
-        x_out = np.where(row_commit, x_new, x_out)
+        x = np.where(row_commit, x_new, x)
         alpha = np.where(commit, alpha_new, alpha)
         alphabar = np.where(commit, alphabar_new, alphabar)
         zetabar = np.where(commit, zetabar_new, zetabar)
@@ -363,7 +274,24 @@ def _solve_fixed_block(
         # update -- the rotation already folded in the final step -- and
         # then freezes.
         active = commit & (beta != 0) & (alpha_new != 0)
-    return x_out
+    return x
+
+
+def lsmr_solve(a: np.ndarray, b: np.ndarray, iters: int | None = None) -> np.ndarray:
+    """Approximate ``argmin_x ||a x - b||_2`` by running the bidiagonalization
+    recurrences for exactly ``iters`` iterations (default ``min(m, n)``).
+
+    A zero right-hand side returns the zero vector; an exactly zero alpha or
+    beta mid-loop (an exhausted Krylov space) stops early with the current
+    iterate.
+    """
+    m, n = a.shape
+    if b.shape != (m,):
+        raise ValueError(f"shape mismatch: a is {a.shape}, b is {b.shape}")
+    if iters is None:
+        iters = min(m, n)
+    at = np.ascontiguousarray(a.T)
+    return _solve_block(_RealOps(), a, at, b[:, None], iters)[:, 0]
 
 
 def lsmr_solve_fixed(
@@ -384,15 +312,13 @@ def lsmr_solve_fixed(
         raise ValueError("stochastic rounding requires a random stream")
     if iters is None:
         iters = min(a.rows, a.cols)
-    at = transpose_fixed(a)
     col_rngs = [rng] if mode is RoundingMode.STOCHASTIC else None
-    x = _solve_fixed_block(
-        a.data, at.data, b.data, a.fmt, iters, mode, col_rngs, sqrt_path, stats
-    )
+    ops = _FixedOps(a.fmt, mode, col_rngs, sqrt_path, stats)
+    x = _solve_block(ops, a.data, transpose_fixed(a).data, b.data, iters)
     return FixedMatrix(x, a.fmt)
 
 
-# -- multi-right-hand-side partitioning ----------------------------------------
+# -- multi-right-hand-side jobs --------------------------------------------------
 
 @dataclass
 class LsmrJob:
@@ -446,88 +372,30 @@ def split_ranges(start: int, count: int, parts: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _solve_real_columns(
-    a: np.ndarray,
-    at: np.ndarray,
-    b: np.ndarray,
-    cols: tuple[int, int],
-    iters: int,
-) -> np.ndarray:
-    start, count = cols
-    n = a.shape[1]
-    out = np.empty((n, count))
-    scratch = LsmrScratch.for_matrix(a, at)
-    for j in range(count):
-        out[:, j] = lsmr_solve(a, b[:, start + j], iters, scratch)
-    return out
-
-
 def lsmr_solve_multi(
     job: LsmrJob,
     mode: RoundingMode = RoundingMode.NEAREST,
-    workers: int = 4,
-    pool: Executor | None = None,
     stream_factory: StreamFactory | None = None,
     sqrt_path: str = "float",
     stats: SaturationStats | None = None,
 ) -> np.ndarray | FixedMatrix:
-    """Solve the job's column range, optionally fanning chunks out to a pool.
+    """Solve the job's column range as one block.
 
-    Column ``j`` of the result equals a standalone solve against ``b[:, j]``;
-    the partitioning (and the pool) only changes scheduling, never values.
-    For stochastic rounding each absolute column index draws from its own
-    stream, so results stay identical for every worker count.
+    Column ``j`` of the result equals a standalone solve against ``b[:, j]``,
+    so splitting a solve into jobs over disjoint column ranges never changes
+    values.  For stochastic rounding each absolute column index draws from
+    its own stream, so results stay identical for every split.
     """
-    fixed = isinstance(job.a, FixedMatrix)
-    if mode is RoundingMode.STOCHASTIC and fixed and stream_factory is None:
-        raise ValueError("stochastic rounding requires a stream factory")
-    ranges = split_ranges(job.col_start, job.col_count, workers)
-
-    if fixed:
-        at = transpose_fixed(job.a)
-
-        def run_chunk(rng_range: tuple[int, int]) -> tuple[int, np.ndarray, SaturationStats]:
-            start, count = rng_range
-            local = SaturationStats()
-            col_rngs = None
-            if mode is RoundingMode.STOCHASTIC:
-                col_rngs = [stream_factory(start + j) for j in range(count)]
-            x = _solve_fixed_block(
-                job.a.data,
-                at.data,
-                job.b.data[:, start : start + count],
-                job.a.fmt,
-                job.iter_count,
-                mode,
-                col_rngs,
-                sqrt_path,
-                local,
-            )
-            return start, x, local
-
-    else:
-        at_real = np.ascontiguousarray(job.a.T)
-
-        def run_chunk(rng_range: tuple[int, int]) -> tuple[int, np.ndarray, SaturationStats]:
-            start, count = rng_range
-            x = _solve_real_columns(job.a, at_real, job.b, (start, count), job.iter_count)
-            return start, x, SaturationStats()
-
-    if pool is None or len(ranges) == 1:
-        results = [run_chunk(r) for r in ranges]
-    else:
-        futures = [pool.submit(run_chunk, r) for r in ranges]
-        results = [f.result() for f in futures]
-
-    n = job.a.shape[1]
-    if fixed:
-        out = np.zeros((n, job.col_count), dtype=np.int64)
-    else:
-        out = np.zeros((n, job.col_count))
-    for start, x, local in results:
-        out[:, start - job.col_start : start - job.col_start + x.shape[1]] = x
-        if stats is not None:
-            stats.merge(local)
-    if fixed:
-        return FixedMatrix(out, job.a.fmt)
-    return out
+    cols = slice(job.col_start, job.col_start + job.col_count)
+    if not isinstance(job.a, FixedMatrix):
+        at = np.ascontiguousarray(job.a.T)
+        return _solve_block(_RealOps(), job.a, at, job.b[:, cols], job.iter_count)
+    col_rngs = None
+    if mode is RoundingMode.STOCHASTIC:
+        if stream_factory is None:
+            raise ValueError("stochastic rounding requires a stream factory")
+        col_rngs = [stream_factory(j) for j in range(cols.start, cols.stop)]
+    ops = _FixedOps(job.a.fmt, mode, col_rngs, sqrt_path, stats)
+    at = transpose_fixed(job.a)
+    x = _solve_block(ops, job.a.data, at.data, job.b.data[:, cols], job.iter_count)
+    return FixedMatrix(x, job.a.fmt)

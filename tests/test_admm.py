@@ -161,6 +161,11 @@ class TestInit:
             NetworkConfig([4, 8, 3], beta=[1.0])  # wrong penalty count
         with pytest.raises(ValueError):
             NetworkConfig([4, 8, 3], gamma=-1.0)
+        with pytest.raises(ValueError):
+            NetworkConfig([4, 8, 3], sqrt_path="newton")
+        with pytest.raises(ValueError):
+            NetworkConfig([4, 8, 3], lsmr_iterations=0)
+        assert NetworkConfig([4, 8, 3], lsmr_iterations=1).lsmr_iterations == 1
 
 
 def make_engine(workers=1, **kw):
@@ -340,15 +345,21 @@ class TestTrain:
         b, _ = train(NetworkConfig(**cfg, workers=4), ds)
         assert state_bytes(a) == state_bytes(b)
 
-    @pytest.mark.parametrize("arithmetic", ["real", "fixed32"])
-    def test_timings_cover_wall_time(self, arithmetic):
+    @pytest.mark.parametrize(
+        "arithmetic, workers",
+        [("real", 1), ("fixed32", 1), ("real", 2), ("fixed32", 2)],
+        ids=["real", "fixed32", "real-w2", "fixed32-w2"],
+    )
+    def test_timings_cover_wall_time(self, arithmetic, workers):
         ds = tiny_dataset(n=300, d=6, classes=3)
         cfg = NetworkConfig(
-            [6, 16, 3], iterations=3, seed=0, workers=1, arithmetic=arithmetic
+            [6, 16, 3], iterations=3, seed=0, workers=workers, arithmetic=arithmetic
         )
         _, report = train(cfg, ds)
         tracked = sum(t.total() for t in report.timings)
         assert tracked >= 0.95 * report.wall_seconds
+        # concurrent chunks share their wave's wall time instead of adding up
+        assert tracked <= 1.05 * report.wall_seconds
 
     def test_output_width_must_match_classes(self):
         ds = tiny_dataset()

@@ -7,6 +7,8 @@ import json
 
 import pytest
 
+from admmlsmr import cli
+from admmlsmr.admm import TrainingDivergedError
 from admmlsmr.cli import main
 from admmlsmr.data import iris_path
 
@@ -125,6 +127,19 @@ class TestErrors:
         p.write_text("1,2,a\n1,b\n")
         code, _, err = run_cli(capsys, "train", "--data", str(p), "--arch", "2,4,1")
         assert code == 1
+
+    def test_diverged_training_exits_1(self, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise TrainingDivergedError("non-finite values in the multiplier")
+
+        monkeypatch.setattr(cli, "train", diverge)
+        code, _, err = run_cli(capsys, *train_args())
+        assert code == 1
+        assert err.startswith("error: non-finite values")
+
+    def test_zero_lsmr_iterations_exits_1(self, capsys):
+        code, _, err = run_cli(capsys, *train_args("--lsmr-iters", "0"))
+        assert code == 1 and "lsmr_iterations" in err
 
 
 class TestCompareRounding:

@@ -1,15 +1,15 @@
 """Solver tests: Givens rotations, convergence vs dense oracles, partitioning."""
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admmlsmr.fixedpoint import FIXED32, RoundingMode, make_stream
 from admmlsmr.lsmr import (
+    SQRT_PATHS,
     LsmrJob,
-    LsmrScratch,
     lsmr_solve,
     lsmr_solve_fixed,
     lsmr_solve_multi,
@@ -17,7 +17,7 @@ from admmlsmr.lsmr import (
     sym,
     sym_fixed,
 )
-from admmlsmr.matrix import dequantize_matrix, quantize_matrix
+from admmlsmr.matrix import FixedMatrix, dequantize_matrix, quantize_matrix
 from conftest import (
     conditioned_system,
     normal_eq_relative_residual,
@@ -107,16 +107,6 @@ class TestRealSolve:
         with pytest.raises(ValueError):
             lsmr_solve(np.eye(3), np.zeros(4))
 
-    def test_scratch_reuse_gives_same_answer(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((10, 4))
-        scratch = LsmrScratch.for_matrix(a)
-        b1, b2 = rng.standard_normal(10), rng.standard_normal(10)
-        x1 = lsmr_solve(a, b1, scratch=scratch)
-        x2 = lsmr_solve(a, b2, scratch=scratch)
-        assert np.array_equal(x1, lsmr_solve(a, b1))
-        assert np.array_equal(x2, lsmr_solve(a, b2))
-
 
 class TestFixedSolve:
     def test_identity_small_rhs(self):
@@ -150,7 +140,7 @@ class TestFixedSolve:
         rng = np.random.default_rng(8)
         a = quantize_matrix(rng.uniform(-1, 1, (12, 5)), FIXED32)
         b = quantize_matrix(rng.uniform(-1, 1, (12, 6)), FIXED32)
-        block = lsmr_solve_multi(LsmrJob.full(a, b), workers=1)
+        block = lsmr_solve_multi(LsmrJob.full(a, b))
         for j in range(6):
             single = lsmr_solve_fixed(
                 a, quantize_matrix(dequantize_matrix(b)[:, j : j + 1], FIXED32)
@@ -169,32 +159,35 @@ class TestMulti:
         rng = np.random.default_rng(9)
         a = rng.standard_normal((14, 5))
         b = rng.standard_normal((14, 1))
-        out = lsmr_solve_multi(LsmrJob.full(a, b), workers=1)
+        out = lsmr_solve_multi(LsmrJob.full(a, b))
         assert np.array_equal(out[:, 0], lsmr_solve(a, b[:, 0]))
 
     def test_split_concat_equals_unsplit(self):
         rng = np.random.default_rng(10)
         a = rng.standard_normal((20, 8))
         b = rng.standard_normal((20, 8))
-        whole = lsmr_solve_multi(LsmrJob.full(a, b), workers=1)
-        left = lsmr_solve_multi(LsmrJob(a, b, 0, 4, 8), workers=1)
-        right = lsmr_solve_multi(LsmrJob(a, b, 4, 4, 8), workers=1)
+        whole = lsmr_solve_multi(LsmrJob.full(a, b))
+        left = lsmr_solve_multi(LsmrJob(a, b, 0, 4, 8))
+        right = lsmr_solve_multi(LsmrJob(a, b, 4, 4, 8))
         assert np.array_equal(np.hstack([left, right]), whole)
 
     def test_worker_pool_identical(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((20, 8))
         b = rng.standard_normal((20, 12))
-        seq = lsmr_solve_multi(LsmrJob.full(a, b), workers=1)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            par = lsmr_solve_multi(LsmrJob.full(a, b), workers=4, pool=pool)
-        assert np.array_equal(seq, par)
+        whole = lsmr_solve_multi(LsmrJob.full(a, b))
+        for parts in (2, 3, 4, 12):
+            chunks = [
+                lsmr_solve_multi(LsmrJob(a, b, start, count, 8))
+                for start, count in split_ranges(0, 12, parts)
+            ]
+            assert np.array_equal(np.hstack(chunks), whole)
 
     def test_columns_against_dense_oracle(self):
         rng = np.random.default_rng(12)
         a = conditioned_system(rng, 25, 9, 30.0)
         b = rng.standard_normal((25, 6))
-        out = lsmr_solve_multi(LsmrJob.full(a, b), workers=2)
+        out = lsmr_solve_multi(LsmrJob.full(a, b))
         for j in range(6):
             want = normal_equations_solve(a, b[:, j])
             assert np.abs(out[:, j] - want).max() < 1e-6
@@ -204,7 +197,7 @@ class TestMulti:
         a = rng.standard_normal((10, 4))
         b = rng.standard_normal((10, 3))
         b[:, 1] = 0.0
-        out = lsmr_solve_multi(LsmrJob.full(a, b), workers=1)
+        out = lsmr_solve_multi(LsmrJob.full(a, b))
         assert np.array_equal(out[:, 1], np.zeros(4))
 
     def test_fixed_stochastic_partition_invariant(self):
@@ -216,16 +209,16 @@ class TestMulti:
             return make_stream(77, 5, col)
 
         runs = []
-        for workers in (1, 3, 4):
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                out = lsmr_solve_multi(
-                    LsmrJob.full(a, b),
+        for parts in (1, 3, 4):
+            chunks = [
+                lsmr_solve_multi(
+                    LsmrJob(a, b, start, count, 4),
                     mode=RoundingMode.STOCHASTIC,
-                    workers=workers,
-                    pool=pool,
                     stream_factory=factory,
-                )
-            runs.append(out.data.copy())
+                ).data
+                for start, count in split_ranges(0, 8, parts)
+            ]
+            runs.append(np.hstack(chunks))
         assert np.array_equal(runs[0], runs[1])
         assert np.array_equal(runs[0], runs[2])
 
@@ -244,3 +237,81 @@ class TestMulti:
         assert split_ranges(3, 5, 2) == [(3, 3), (6, 2)]
         assert split_ranges(0, 2, 5) == [(0, 1), (1, 1)]
         assert split_ranges(0, 7, 3) == [(0, 3), (3, 2), (5, 2)]
+
+
+@st.composite
+def partitioned_systems(draw):
+    """A random system, an iteration budget and a split of its columns.
+
+    Covers rank-deficient matrices, consistent systems and zero right-hand
+    side columns.  Returns (a, b, column bounds, iters).
+    """
+    m = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 5))
+    p = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.uniform(-1, 1, (m, n))
+    if n > 1 and draw(st.booleans()):
+        a[:, -1] = a[:, 0]
+    if draw(st.booleans()):
+        b = a @ rng.uniform(-1, 1, (n, p))
+    else:
+        b = rng.uniform(-1, 1, (m, p))
+    b[:, sorted(draw(st.sets(st.integers(0, p - 1))))] = 0.0
+    cuts = draw(st.sets(st.integers(1, p - 1))) if p > 1 else set()
+    iters = draw(st.integers(1, 2 * min(m, n)))
+    return a, b, [0, *sorted(cuts), p], iters
+
+
+class TestPartitionProperty:
+    """Any split of the columns into jobs reproduces the one-column solves."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(partitioned_systems())
+    def test_real(self, system):
+        a, b, bounds, iters = system
+        parts = [
+            lsmr_solve_multi(LsmrJob(a, b, lo, hi - lo, iters))
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        single = np.stack(
+            [lsmr_solve(a, b[:, j], iters) for j in range(b.shape[1])], axis=1
+        )
+        assert np.hstack(parts).tobytes() == single.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        partitioned_systems(),
+        st.sampled_from(list(RoundingMode)),
+        st.sampled_from(SQRT_PATHS),
+    )
+    def test_fixed32(self, system, mode, sqrt_path):
+        a, b, bounds, iters = system
+        af = quantize_matrix(a, FIXED32)
+        bf = quantize_matrix(b, FIXED32)
+
+        def factory(col):
+            return make_stream(3, 9, col)
+
+        parts = [
+            lsmr_solve_multi(
+                LsmrJob(af, bf, lo, hi - lo, iters),
+                mode=mode,
+                stream_factory=factory,
+                sqrt_path=sqrt_path,
+            ).data
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        stochastic = mode is RoundingMode.STOCHASTIC
+        single = [
+            lsmr_solve_fixed(
+                af,
+                FixedMatrix(bf.data[:, j : j + 1], FIXED32),
+                iters,
+                mode=mode,
+                rng=factory(j) if stochastic else None,
+                sqrt_path=sqrt_path,
+            ).data
+            for j in range(bf.cols)
+        ]
+        assert np.array_equal(np.hstack(parts), np.hstack(single))
