@@ -388,8 +388,7 @@ def weight_update(
 ) -> tuple[np.ndarray, float]:
     """Least-squares weights: solve x_prev^T W^T ~= z_l^T column by column."""
     t0 = time.perf_counter()
-    a = np.ascontiguousarray(x_prev.T)
-    b = np.ascontiguousarray(z_l.T)
+    a, b = _weight_system(z_l, x_prev)
     prep = time.perf_counter() - t0
     prepared = engine.prepare(a, b, chunks)
     (solution, seconds), = engine.run_wave([prepared])
@@ -412,6 +411,10 @@ def activation_update(
     prepared = engine.prepare(part1, part2, chunks)
     (solution, seconds), = engine.run_wave([prepared])
     return solution, prep + seconds
+
+
+def _weight_system(z_l, x_prev):
+    return np.ascontiguousarray(x_prev.T), np.ascontiguousarray(z_l.T)
 
 
 def _activation_system(w_next, z_next, z_l, beta_next, gamma_l):
@@ -482,8 +485,7 @@ def train(
                 x_prev = state.x0 if l == 0 else state.x[l - 1]
 
                 t0 = time.perf_counter()
-                a_w = np.ascontiguousarray(x_prev.T)
-                b_w = np.ascontiguousarray(state.z[l].T)
+                a_w, b_w = _weight_system(state.z[l], x_prev)
                 weight_prep = time.perf_counter() - t0
                 t0 = time.perf_counter()
                 part1, part2 = _activation_system(

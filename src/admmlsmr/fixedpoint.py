@@ -151,29 +151,10 @@ def convert(
 
     Down rounds toward -inf, up toward +inf, nearest rounds halves toward
     +inf; stochastic rounds up with probability proportional to the distance
-    from the lower neighbour.
+    from the lower neighbour.  This is the one-element case of
+    ``convert_array``.
     """
-    _require_rng(mode, rng)
-    if math.isnan(x):
-        raise ValueError("cannot convert NaN")
-    if x >= fmt.ubound_value:
-        return FixedWord(fmt.ubound, fmt)
-    if x <= fmt.lbound_value:
-        return FixedWord(fmt.lbound, fmt)
-    # Scaling by a power of two is exact for in-range doubles, so floor and
-    # the fractional remainder are computed without rounding error.
-    y = x * float(1 << fmt.fraction_length)
-    low = math.floor(y)
-    frac = y - low
-    if mode is RoundingMode.DOWN:
-        incr = 0
-    elif mode is RoundingMode.UP:
-        incr = 1 if frac > 0.0 else 0
-    elif mode is RoundingMode.NEAREST:
-        incr = 1 if frac >= 0.5 else 0
-    else:
-        incr = 0 if rng.random() <= 1.0 - frac else 1
-    return FixedWord(low + incr, fmt)
+    return FixedWord(int(convert_array(x, fmt, mode, rng)), fmt)
 
 
 def convert_array(
@@ -185,7 +166,7 @@ def convert_array(
 ) -> np.ndarray:
     """Vectorised ``convert``: float64 array in, int64 rep array out.
 
-    Bit-identical to the scalar path element by element.
+    Stochastic rounding draws exactly one uniform per cell, saturated or not.
     """
     _require_rng(mode, rng)
     x = np.asarray(x, dtype=np.float64)
@@ -194,6 +175,8 @@ def convert_array(
     sat_hi = x >= fmt.ubound_value
     sat_lo = x <= fmt.lbound_value
     # Clamp before scaling so inf and huge values never reach the int cast.
+    # Scaling by a power of two is exact for in-range doubles, so floor and
+    # the fractional remainder are computed without rounding error.
     safe = np.clip(x, fmt.lbound_value, fmt.ubound_value)
     y = safe * float(1 << fmt.fraction_length)
     low = np.floor(y)
@@ -216,17 +199,20 @@ def convert_array(
 
 # -- wide-container casts ----------------------------------------------------
 
-def cast_wide_simple(t: int, fmt: FixedFormat) -> FixedWord:
-    """Narrow a wide sum (format-resolution fraction bits) back to a word.
+def _wide(t: int) -> np.ndarray:
+    """A wide scalar as a 0-d int64 array; values beyond int64 raise
+    ``OverflowError``."""
+    return np.asarray(t, dtype=np.int64)
 
-    Saturates out-of-range sums; in-range sums pass through unchanged.
+
+def cast_wide_simple(t: int, fmt: FixedFormat) -> FixedWord:
+    """Narrow an int64 wide sum (format-resolution fraction bits) back to a
+    word.
+
+    Saturates out-of-range sums; in-range sums pass through unchanged.  This
+    is the one-element case of ``cast_wide_simple_array``.
     """
-    t = int(t)
-    if t >= fmt.ubound:
-        return FixedWord(fmt.ubound, fmt)
-    if t <= fmt.lbound:
-        return FixedWord(fmt.lbound, fmt)
-    return FixedWord(t, fmt)
+    return FixedWord(int(cast_wide_simple_array(_wide(t), fmt)), fmt)
 
 
 def cast_wide(
@@ -235,32 +221,15 @@ def cast_wide(
     mode: RoundingMode = RoundingMode.NEAREST,
     rng: np.random.Generator | None = None,
 ) -> FixedWord:
-    """Narrow a wide product (2*FL fraction bits) back to a word.
+    """Narrow an int64 wide product (2*FL fraction bits) back to a word.
 
     The wide value is first checked against the format bounds shifted up by
     FL; otherwise the low FL bits are dropped with the requested rounding
     applied to the discarded fraction.  The shift is arithmetic, so
-    truncation is toward -inf on the rep.
+    truncation is toward -inf on the rep.  This is the one-element case of
+    ``cast_wide_array``.
     """
-    _require_rng(mode, rng)
-    t = int(t)
-    fl = fmt.fraction_length
-    if t >= fmt.ubound << fl:
-        return FixedWord(fmt.ubound, fmt)
-    if t <= fmt.lbound << fl:
-        return FixedWord(fmt.lbound, fmt)
-    base = t >> fl
-    diff = t & ((1 << fl) - 1)
-    if mode is RoundingMode.DOWN:
-        incr = 0
-    elif mode is RoundingMode.UP:
-        incr = 1 if diff != 0 else 0
-    elif mode is RoundingMode.NEAREST:
-        incr = 1 if diff >= (1 << (fl - 1)) else 0
-    else:
-        prob = 1.0 - diff * fmt.epsilon
-        incr = 0 if rng.random() <= prob else 1
-    return FixedWord(base + incr, fmt)
+    return FixedWord(int(cast_wide_array(_wide(t), fmt, mode, rng)), fmt)
 
 
 def _stochastic_incr_array(
@@ -288,7 +257,11 @@ def cast_wide_array(
     col_rngs: "list[np.random.Generator] | None" = None,
     stats: "SaturationStats | None" = None,
 ) -> np.ndarray:
-    """Vectorised ``cast_wide`` over an int64 array of wide products."""
+    """Vectorised ``cast_wide`` over an int64 array of wide products.
+
+    Stochastic rounding draws exactly one uniform per cell, saturated or not,
+    from ``rng`` or from column ``j``'s stream ``col_rngs[j]``.
+    """
     if mode is RoundingMode.STOCHASTIC and rng is None and col_rngs is None:
         raise ValueError("stochastic rounding requires a random stream")
     fl = fmt.fraction_length
@@ -386,13 +359,8 @@ def multiply_f(
     return cast_wide(a.rep * b.rep, fmt, mode, rng)
 
 
-def trunc_div(num: int, den: int) -> int:
-    """C-style integer division: truncates toward zero."""
-    q = abs(num) // abs(den)
-    return -q if (num < 0) != (den < 0) else q
-
-
 def trunc_div_array(num: np.ndarray, den: np.ndarray | int) -> np.ndarray:
+    """C-style integer division: truncates toward zero."""
     q = np.abs(num) // np.abs(den)
     neg = (num < 0) != (np.asarray(den) < 0)
     return np.where(neg, -q, q)
@@ -404,35 +372,30 @@ def divide_f(a: FixedWord, b: FixedWord) -> FixedWord:
     fmt = _check_fmt(a, b)
     if b.rep == 0:
         raise ZeroDivisionError("fixed-point division by zero")
-    q = trunc_div(a.rep << fmt.fraction_length, b.rep)
+    q = trunc_div_array(_wide(a.rep << fmt.fraction_length), b.rep)
     return cast_wide_simple(q, fmt)
 
 
 # -- square roots ------------------------------------------------------------
 
 def integer_sqrt(t: int, fmt: FixedFormat) -> FixedWord:
-    """Floor square root of a wide sum of squares (2*FL fraction bits).
+    """Floor square root of an int64 wide sum of squares (2*FL fraction bits).
 
     Because sqrt(v * 2**-2FL) = sqrt(v) * 2**-FL, the integer square root of
-    the wide rep is directly the FL-fraction result.
+    the wide rep is directly the FL-fraction result.  This is the one-element
+    case of ``integer_sqrt_array``.
     """
-    t = int(t)
-    if t < 0:
-        raise ValueError("square root of a negative value")
-    return cast_wide_simple(math.isqrt(t), fmt)
+    return FixedWord(int(integer_sqrt_array(_wide(t), fmt)), fmt)
 
 
 def float_sqrt(t: int, fmt: FixedFormat) -> FixedWord:
-    """Square root of a wide sum of squares via double arithmetic.
+    """Square root of an int64 wide sum of squares via double arithmetic.
 
     Converts the wide value to a double, takes the IEEE sqrt and quantizes
-    back with nearest rounding.  This is the default norm path.
+    back with nearest rounding.  This is the default norm path, and the
+    one-element case of ``float_sqrt_array``.
     """
-    t = int(t)
-    if t < 0:
-        raise ValueError("square root of a negative value")
-    value = float(t) * fmt.epsilon * fmt.epsilon
-    return convert(math.sqrt(value), fmt, RoundingMode.NEAREST)
+    return FixedWord(int(float_sqrt_array(_wide(t), fmt)), fmt)
 
 
 def float_sqrt_array(t: np.ndarray, fmt: FixedFormat) -> np.ndarray:
@@ -461,9 +424,6 @@ class SaturationStats:
 
     def count(self, n: int = 1) -> None:
         self.events += n
-
-    def merge(self, other: "SaturationStats") -> None:
-        self.events += other.events
 
     def __repr__(self) -> str:
         return f"SaturationStats(events={self.events})"

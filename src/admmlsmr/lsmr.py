@@ -303,19 +303,14 @@ def lsmr_solve_fixed(
     sqrt_path: str = "float",
     stats: SaturationStats | None = None,
 ) -> FixedMatrix:
-    """Fixed-point solve of ``a x ~= b`` for a single right-hand side."""
-    if a.fmt != b.fmt:
-        raise ValueError(f"format mismatch: {a.fmt} vs {b.fmt}")
-    if b.cols != 1 or b.rows != a.rows:
+    """Fixed-point solve of ``a x ~= b`` for a single right-hand side: a
+    one-column ``lsmr_solve_multi`` job whose column draws from ``rng``."""
+    if b.cols != 1:
         raise ValueError(f"expected an {a.rows}x1 right-hand side, got {b.shape}")
     if mode is RoundingMode.STOCHASTIC and rng is None:
         raise ValueError("stochastic rounding requires a random stream")
-    if iters is None:
-        iters = min(a.rows, a.cols)
-    col_rngs = [rng] if mode is RoundingMode.STOCHASTIC else None
-    ops = _FixedOps(a.fmt, mode, col_rngs, sqrt_path, stats)
-    x = _solve_block(ops, a.data, transpose_fixed(a).data, b.data, iters)
-    return FixedMatrix(x, a.fmt)
+    job = LsmrJob.full(a, b, iters)
+    return lsmr_solve_multi(job, mode, lambda _: rng, sqrt_path, stats)
 
 
 # -- multi-right-hand-side jobs --------------------------------------------------
@@ -337,6 +332,8 @@ class LsmrJob:
             raise ValueError(f"row mismatch: a is {a_shape}, b is {b_shape}")
         if isinstance(self.a, FixedMatrix) != isinstance(self.b, FixedMatrix):
             raise ValueError("a and b must both be real or both fixed")
+        if isinstance(self.a, FixedMatrix) and self.a.fmt != self.b.fmt:
+            raise ValueError(f"format mismatch: {self.a.fmt} vs {self.b.fmt}")
         if self.col_start < 0 or self.col_start + self.col_count > b_shape[1]:
             raise ValueError(
                 f"column range [{self.col_start}, {self.col_start + self.col_count}) "

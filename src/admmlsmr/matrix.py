@@ -1,9 +1,9 @@
-"""Dense row-major matrices over doubles and fixed-point words.
+"""Dense row-major matrices of fixed-point words, quantized from doubles.
 
-The real side is plain numpy.  The fixed side stores int64 rep arrays and
-implements multiply-accumulate the way a narrow datapath would: exact wide
-products, a saturation-checked wide accumulator, and a single rounding when
-the finished cell is narrowed back to the word format.
+A matrix stores an int64 rep array.  The kernels implement multiply-accumulate
+the way a narrow datapath would: exact wide products, a saturation-checked
+wide accumulator, and a single rounding when the finished cell is narrowed
+back to the word format.
 """
 from __future__ import annotations
 
@@ -19,12 +19,10 @@ from .fixedpoint import (
     cast_wide_array,
     cast_wide_simple_array,
     convert_array,
-    float_sqrt,
-    integer_sqrt,
+    float_sqrt_array,
+    integer_sqrt_array,
     saturating_acc_add,
 )
-
-RealMatrix = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -63,34 +61,6 @@ class FixedMatrix:
 
     def to_real(self) -> np.ndarray:
         return self.data.astype(np.float64) * self.fmt.epsilon
-
-
-# -- real helpers ------------------------------------------------------------
-
-def transpose(m: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(m.T)
-
-
-def mat_mul_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def add_mat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a + b
-
-
-def sub_mat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a - b
-
-
-def scale(m: np.ndarray, s: float) -> np.ndarray:
-    return m * s
 
 
 # -- quantization ------------------------------------------------------------
@@ -166,12 +136,9 @@ def dot_fixed(
     stats: SaturationStats | None = None,
 ) -> FixedWord:
     """Inner product of a 1 x m row with an m x 1 column."""
-    fmt = _check_like(u, v)
     if u.rows != 1 or v.cols != 1 or u.cols != v.rows:
         raise ValueError(f"expected 1xm . mx1, got {u.shape} . {v.shape}")
-    acc = accumulate_product_wide(u.data, v.data, fmt, stats)
-    rep = cast_wide_array(acc, fmt, mode, rng, stats=stats)
-    return FixedWord(int(rep[0, 0]), fmt)
+    return FixedWord(int(mat_mul_fixed(u, v, mode, rng, stats).data[0, 0]), u.fmt)
 
 
 def sum_squares_wide(
@@ -213,12 +180,14 @@ def norm_fixed(
         data = data.T
     elif v.cols != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
-    total = int(sum_squares_wide(data, v.fmt, stats)[0])
+    total = sum_squares_wide(data, v.fmt, stats)
     if sqrt_path == "float":
-        return float_sqrt(total, v.fmt)
-    if sqrt_path == "integer":
-        return integer_sqrt(total, v.fmt)
-    raise ValueError(f"unknown sqrt_path {sqrt_path!r}")
+        rep = float_sqrt_array(total, v.fmt)
+    elif sqrt_path == "integer":
+        rep = integer_sqrt_array(total, v.fmt)
+    else:
+        raise ValueError(f"unknown sqrt_path {sqrt_path!r}")
+    return FixedWord(int(rep[0]), v.fmt)
 
 
 def add_fixed(

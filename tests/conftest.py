@@ -58,20 +58,6 @@ def oracle_cast_wide(t: int, fmt: FixedFormat, mode: RoundingMode) -> int:
 
 # -- linear-algebra oracles --------------------------------------------------------
 
-def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    m, n = a.shape
-    n2, p = b.shape
-    assert n == n2
-    out = np.zeros((m, p))
-    for i in range(m):
-        for j in range(p):
-            acc = 0.0
-            for k in range(n):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
 def normal_equations_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense least-squares via (A^T A) x = A^T b, direct elimination."""
     return np.linalg.solve(a.T @ a, a.T @ b)

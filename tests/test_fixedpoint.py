@@ -125,9 +125,9 @@ class TestConvert:
         xs = np.concatenate([rng.uniform(-1e5, 1e5, 500), rng.uniform(-30, 30, 500)])
         for fmt in (FIXED16, FIXED32):
             for mode in DETERMINISTIC_MODES:
-                reps = convert_array(xs, fmt, mode)
-                scalars = [convert(float(x), fmt, mode).rep for x in xs]
-                assert reps.tolist() == scalars
+                want = [oracle_convert(float(x), fmt, mode) for x in xs]
+                assert convert_array(xs, fmt, mode).tolist() == want
+                assert [convert(float(x), fmt, mode).rep for x in xs] == want
 
     def test_monotone_in_input(self):
         rng = np.random.default_rng(7)
@@ -194,8 +194,9 @@ class TestCastWide:
         rng = np.random.default_rng(12)
         wide = rng.integers(FIXED32.wide_lbound, FIXED32.wide_ubound, size=2000)
         for mode in DETERMINISTIC_MODES:
-            arr = cast_wide_array(wide, FIXED32, mode)
-            assert arr.tolist() == [cast_wide(int(t), FIXED32, mode).rep for t in wide]
+            want = [oracle_cast_wide(int(t), FIXED32, mode) for t in wide]
+            assert cast_wide_array(wide, FIXED32, mode).tolist() == want
+            assert [cast_wide(int(t), FIXED32, mode).rep for t in wide] == want
 
     def test_stochastic_up_probability(self):
         # A discarded fraction of 0.75 eps must round up about 75% of the time.
@@ -374,6 +375,30 @@ class TestStreams:
         a = make_stream(42, 1).random(8)
         b = make_stream(42, 2).random(8)
         assert a.tolist() != b.tolist()
+
+    @pytest.mark.parametrize("fmt", [FIXED16, FIXED32], ids=["fixed16", "fixed32"])
+    def test_scalar_calls_draw_like_one_array_call(self, fmt):
+        # One uniform per value, saturated or not: a run of scalar calls on
+        # one stream consumes it exactly as one array call does.
+        rng = np.random.default_rng(20)
+        mode = RoundingMode.STOCHASTIC
+        xs = rng.uniform(2 * fmt.lbound_value, 2 * fmt.ubound_value, 400)
+        xs[::9] = math.inf
+        xs[1::9] = -math.inf
+        xs[2::9] = fmt.ubound_value
+        gen = make_stream(7, fmt.word_length)
+        scalars = [convert(float(x), fmt, mode, gen).rep for x in xs]
+        array = convert_array(xs, fmt, mode, make_stream(7, fmt.word_length))
+        assert scalars == array.tolist()
+        edge = fmt.ubound << fmt.fraction_length
+        wide = rng.integers(-2 * edge, 2 * edge, 400)
+        wide[::9] = fmt.wide_ubound
+        wide[1::9] = fmt.wide_lbound
+        wide[2::9] = edge
+        gen = make_stream(8, fmt.word_length)
+        scalars = [cast_wide(int(t), fmt, mode, gen).rep for t in wide]
+        array = cast_wide_array(wide, fmt, mode, make_stream(8, fmt.word_length))
+        assert scalars == array.tolist()
 
     def test_word_value_property(self):
         w = FixedWord(FIXED16.one, FIXED16)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admmlsmr.fixedpoint import FIXED32, RoundingMode, make_stream
+from admmlsmr.fixedpoint import FIXED16, FIXED32, RoundingMode, make_stream
 from admmlsmr.lsmr import (
     SQRT_PATHS,
     LsmrJob,
@@ -231,6 +231,8 @@ class TestMulti:
             LsmrJob(a, np.zeros((5, 2)), 0, 1, 4)
         with pytest.raises(ValueError):
             LsmrJob(a, b, 0, 1, 0)
+        with pytest.raises(ValueError):  # a FIXED32 system, a FIXED16 right-hand side
+            LsmrJob.full(quantize_matrix(a, FIXED32), quantize_matrix(b, FIXED16))
 
     def test_split_ranges(self):
         assert split_ranges(0, 8, 2) == [(0, 4), (4, 4)]
