@@ -398,20 +398,42 @@ def float_sqrt(t: int, fmt: FixedFormat) -> FixedWord:
     return FixedWord(int(float_sqrt_array(_wide(t), fmt)), fmt)
 
 
-def float_sqrt_array(t: np.ndarray, fmt: FixedFormat) -> np.ndarray:
+def float_sqrt_array(
+    t: np.ndarray, fmt: FixedFormat, stats: "SaturationStats | None" = None
+) -> np.ndarray:
     """Vectorised ``float_sqrt`` over int64 wide values (must be >= 0)."""
     if (t < 0).any():
         raise ValueError("square root of a negative value")
     value = t.astype(np.float64) * (fmt.epsilon * fmt.epsilon)
-    return convert_array(np.sqrt(value), fmt, RoundingMode.NEAREST)
+    return convert_array(np.sqrt(value), fmt, RoundingMode.NEAREST, stats=stats)
 
 
-def integer_sqrt_array(t: np.ndarray, fmt: FixedFormat) -> np.ndarray:
+_ISQRT_INT64_MAX = math.isqrt(_INT64_MAX)  # 3037000499
+
+
+def _isqrt_array(t: np.ndarray) -> np.ndarray:
+    """Floor square root of non-negative int64 values.
+
+    The float64 root is within one of the exact floor root over the whole
+    int64 range (the conversion of ``t`` rounds above 2**53, and the root
+    rounds once), so one integer fix-up step in each direction makes it
+    exact.  ``float64(t) <= 2**63``, whose root is below isqrt(2**63 - 1) + 1,
+    so ``r * r`` fits int64; ``(r + 1)**2`` is only formed below that root.
+    """
+    r = np.floor(np.sqrt(t.astype(np.float64))).astype(np.int64)
+    r -= r * r > t
+    r1 = np.minimum(r + 1, _ISQRT_INT64_MAX)
+    r += (r < _ISQRT_INT64_MAX) & (r1 * r1 <= t)
+    return r
+
+
+def integer_sqrt_array(
+    t: np.ndarray, fmt: FixedFormat, stats: "SaturationStats | None" = None
+) -> np.ndarray:
+    """Vectorised ``integer_sqrt`` over int64 wide values (must be >= 0)."""
     if (t < 0).any():
         raise ValueError("square root of a negative value")
-    flat = [math.isqrt(int(v)) for v in t.ravel()]
-    out = np.array(flat, dtype=np.int64).reshape(t.shape)
-    return cast_wide_simple_array(out, fmt)
+    return cast_wide_simple_array(_isqrt_array(t), fmt, stats)
 
 
 class SaturationStats:

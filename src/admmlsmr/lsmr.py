@@ -134,8 +134,8 @@ class _FixedOps:
 
     def _sqrt_wide(self, wide: np.ndarray) -> np.ndarray:
         if self.sqrt_path == "float":
-            return float_sqrt_array(wide, self.fmt)
-        return integer_sqrt_array(wide, self.fmt)
+            return float_sqrt_array(wide, self.fmt, self.stats)
+        return integer_sqrt_array(wide, self.fmt, self.stats)
 
 
 Ops = _RealOps | _FixedOps
@@ -290,6 +290,8 @@ def lsmr_solve(a: np.ndarray, b: np.ndarray, iters: int | None = None) -> np.nda
         raise ValueError(f"shape mismatch: a is {a.shape}, b is {b.shape}")
     if iters is None:
         iters = min(m, n)
+    if iters < 1:
+        raise ValueError("iters must be at least 1")
     at = np.ascontiguousarray(a.T)
     return _solve_block(_RealOps(), a, at, b[:, None], iters)[:, 0]
 

@@ -100,12 +100,20 @@ def accumulate_product_wide(
     running sum saturation-checked after every addition.
 
     Returns the (m, p) wide sums carrying 2*FL fraction bits, before any
-    rounding.  The k-loop keeps the per-cell accumulation order fixed, so the
-    result for a given output column never depends on which other columns are
-    present.
+    rounding.  When ``n * max|a| * max|b| <= min(2**53, wide_ubound)`` one
+    float64 GEMM gives the result: every product and every partial sum is
+    then an integer of magnitude at most 2**53, so each BLAS operation is
+    exact in any summation order, and no partial sum can reach the
+    container's bounds, so there is nothing to saturate or count.  Otherwise
+    a k-loop accumulates in a fixed per-cell order with a saturation check
+    after every addition.  Either way the result for a given output column
+    never depends on which other columns are present.
     """
     m, n = a.shape
     p = b.shape[1]
+    bound = n * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
+    if bound <= min(1 << 53, fmt.wide_ubound):
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     acc = np.zeros((m, p), dtype=np.int64)
     for k in range(n):
         term = a[:, k : k + 1] * b[k : k + 1, :]
@@ -182,9 +190,9 @@ def norm_fixed(
         raise ValueError(f"expected a vector, got shape {v.shape}")
     total = sum_squares_wide(data, v.fmt, stats)
     if sqrt_path == "float":
-        rep = float_sqrt_array(total, v.fmt)
+        rep = float_sqrt_array(total, v.fmt, stats)
     elif sqrt_path == "integer":
-        rep = integer_sqrt_array(total, v.fmt)
+        rep = integer_sqrt_array(total, v.fmt, stats)
     else:
         raise ValueError(f"unknown sqrt_path {sqrt_path!r}")
     return FixedWord(int(rep[0]), v.fmt)

@@ -56,6 +56,27 @@ def oracle_cast_wide(t: int, fmt: FixedFormat, mode: RoundingMode) -> int:
     raise ValueError("stochastic has no deterministic oracle")
 
 
+def oracle_mac(
+    a: np.ndarray, b: np.ndarray, fmt: FixedFormat
+) -> tuple[list[list[int]], int]:
+    """Wide sums of reps(a) @ reps(b) and the saturation count, accumulating
+    each cell in k order in Python ints and clamping at the wide bounds after
+    every addition."""
+    (m, n), p = a.shape, b.shape[1]
+    sums = [[0] * p for _ in range(m)]
+    events = 0
+    for i in range(m):
+        for j in range(p):
+            acc = 0
+            for k in range(n):
+                acc += int(a[i, k]) * int(b[k, j])
+                if not fmt.wide_lbound <= acc <= fmt.wide_ubound:
+                    acc = min(max(acc, fmt.wide_lbound), fmt.wide_ubound)
+                    events += 1
+            sums[i][j] = acc
+    return sums, events
+
+
 # -- linear-algebra oracles --------------------------------------------------------
 
 def normal_equations_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from admmlsmr.fixedpoint import (
     FixedWord,
     RoundingMode,
     SaturationStats,
+    _isqrt_array,
     add_f,
     cast_wide,
     cast_wide_array,
@@ -25,6 +26,7 @@ from admmlsmr.fixedpoint import (
     divide_f,
     float_sqrt,
     integer_sqrt,
+    integer_sqrt_array,
     make_stream,
     multiply_f,
     neg_f,
@@ -315,6 +317,26 @@ class TestSqrt:
                 assert n * n <= t < (n + 1) * (n + 1)
             else:
                 assert FIXED32.ubound * FIXED32.ubound <= t
+
+    def test_vectorised_root_matches_math_isqrt(self):
+        # squares and their neighbours where float64 stops holding them
+        # exactly (k near 2**26.5) and at the top of int64 (k near
+        # isqrt(2**63 - 1) = 3037000499), plus random values
+        int64_max = (1 << 63) - 1
+        ts = [0, 1, 2, int64_max]
+        for centre in (1 << 26, 94906265, 1 << 31, 3037000499):
+            for k in range(centre - 4, centre + 5):
+                ts += [t for t in (k * k - 1, k * k, k * k + 1) if 0 <= t <= int64_max]
+        rng = np.random.default_rng(20)
+        ts += [int(t) for t in rng.integers(0, int64_max, size=2000, dtype=np.int64)]
+        ts += [int(t) for t in rng.integers(0, 1 << 56, size=2000, dtype=np.int64)]
+        roots = [math.isqrt(t) for t in ts]
+        t = np.array(ts, dtype=np.int64)
+        assert _isqrt_array(t).tolist() == roots
+        stats = SaturationStats()
+        got = integer_sqrt_array(t, FIXED32, stats)
+        assert got.tolist() == [min(r, FIXED32.ubound) for r in roots]
+        assert stats.events == sum(r >= FIXED32.ubound for r in roots)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admmlsmr.fixedpoint import FIXED16, FIXED32, RoundingMode, make_stream
+from admmlsmr.fixedpoint import FIXED16, FIXED32, RoundingMode, SaturationStats, make_stream
 from admmlsmr.lsmr import (
     SQRT_PATHS,
     LsmrJob,
+    _FixedOps,
     lsmr_solve,
     lsmr_solve_fixed,
     lsmr_solve_multi,
@@ -103,6 +104,11 @@ class TestRealSolve:
                 norms.append(np.linalg.norm(a.T @ (a @ x - b)))
             assert all(n2 <= n1 * (1 + 1e-9) for n1, n2 in zip(norms, norms[1:]))
 
+    def test_nonpositive_iters_rejected(self):
+        for iters in (0, -3):
+            with pytest.raises(ValueError):
+                lsmr_solve(np.eye(2), np.ones(2), iters=iters)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             lsmr_solve(np.eye(3), np.zeros(4))
@@ -152,6 +158,17 @@ class TestFixedSolve:
         b = quantize_matrix(np.ones((3, 1)), FIXED32)
         with pytest.raises(ValueError):
             lsmr_solve_fixed(a, b, mode=RoundingMode.STOCHASTIC)
+
+
+class TestFixedOps:
+    @pytest.mark.parametrize("sqrt_path", SQRT_PATHS)
+    def test_norm_saturation_counted(self, sqrt_path):
+        # 2 * ubound**2 fits the wide container; only the root saturates
+        stats = SaturationStats()
+        ops = _FixedOps(FIXED32, RoundingMode.NEAREST, None, sqrt_path, stats)
+        col = np.full((2, 1), FIXED32.ubound, dtype=np.int64)
+        assert ops.norm_cols(col).tolist() == [FIXED32.ubound]
+        assert stats.events == 1
 
 
 class TestMulti:

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from admmlsmr.fixedpoint import (
     FIXED16,
@@ -13,6 +15,7 @@ from admmlsmr.fixedpoint import (
 )
 from admmlsmr.matrix import (
     FixedMatrix,
+    accumulate_product_wide,
     add_fixed,
     dequantize_matrix,
     dot_fixed,
@@ -23,7 +26,7 @@ from admmlsmr.matrix import (
     sub_fixed,
     transpose_fixed,
 )
-from conftest import oracle_cast_wide
+from conftest import oracle_cast_wide, oracle_mac
 
 
 def q32(m, mode=RoundingMode.NEAREST):
@@ -109,6 +112,88 @@ class TestFixedMatmul:
             mat_mul_fixed(a, b16)
 
 
+def exact_gemm_limit(fmt):
+    """Largest ``n * max|a| * max|b|`` that the exact float64 GEMM path takes."""
+    return min(1 << 53, fmt.wide_ubound)
+
+
+@st.composite
+def mac_operands(draw):
+    """Rep matrices whose bound ``n * max|a| * max|b|`` sits just below, at
+    or just above the exact GEMM path's limit, or anywhere in range.
+
+    Covers empty inner and outer dimensions, n = 1, reps at both format
+    bounds and saturating sums.  Returns (fmt, a, b).
+    """
+    fmt = draw(st.sampled_from([FIXED16, FIXED32]))
+    dims = [draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 3))]
+    if draw(st.sampled_from(range(8))) == 0:
+        dims[draw(st.integers(0, 2))] = 0
+    m, n, p = dims
+    top = -fmt.lbound
+    limit = exact_gemm_limit(fmt)
+    if draw(st.booleans()):
+        # straddle the limit: the least amax for which some bmax reaches it
+        least = min(top, -(-limit // (max(n, 1) * top)))
+        amax = draw(st.sampled_from([least, top]) | st.integers(least, top))
+        step = draw(st.sampled_from([-1, 0, 1]))
+        bmax = min(max(limit // (max(n, 1) * amax) + step, 1), top)
+    else:
+        amax, bmax = (draw(st.just(top) | st.integers(1, top)) for _ in "ab")
+    # only extreme cells make long same-sign runs that saturate the container
+    extreme = draw(st.booleans())
+
+    def reps(rows, cols, mag):
+        cell = st.sampled_from([-mag, min(mag, fmt.ubound)])
+        if not extreme:
+            cell = st.sampled_from([-mag, min(mag, fmt.ubound), -1, 0, 1]) | st.integers(
+                -mag, min(mag, fmt.ubound)
+            )
+        out = np.array(
+            draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols)), dtype=np.int64
+        ).reshape(rows, cols)
+        if out.size:
+            out.flat[draw(st.integers(0, out.size - 1))] = -mag  # pin max|out| to mag
+        return out
+
+    return fmt, reps(m, n, amax), reps(n, p, bmax)
+
+
+def _reps(fmt, rows):
+    return fmt, np.array(rows[0], dtype=np.int64), np.array(rows[1], dtype=np.int64)
+
+
+class TestWideMac:
+    """The wide MAC equals k-order saturating accumulation in exact integers,
+    on both sides of the exact GEMM path's predicate."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mac_operands())
+    # bound == 2**53: one product at the limit, and a sum of two
+    @example(_reps(FIXED32, ([[FIXED32.lbound]], [[1 << 22]])))
+    @example(_reps(FIXED32, ([[FIXED32.lbound, 1]], [[1 << 21], [1]])))
+    # bound == 2**54: the exact sum -(2**53 + 1) is not a float64
+    @example(_reps(FIXED32, ([[FIXED32.lbound, -1]], [[1 << 22], [1]])))
+    # the 64-bit container saturates in both directions
+    @example(_reps(FIXED32, ([[FIXED32.lbound] * 2], [[FIXED32.lbound]] * 2)))
+    @example(_reps(FIXED32, ([[FIXED32.lbound] * 3], [[FIXED32.ubound]] * 3)))
+    # bound == 2**31 - 2**16 (fast) and 2**31 (saturates the 32-bit container)
+    @example(_reps(FIXED16, ([[FIXED16.ubound] * 2], [[FIXED16.lbound]] * 2)))
+    @example(_reps(FIXED16, ([[FIXED16.lbound] * 2], [[FIXED16.lbound]] * 2)))
+    # empty inner and outer dimensions
+    @example((FIXED32, np.zeros((2, 0), np.int64), np.zeros((0, 3), np.int64)))
+    @example((FIXED16, np.zeros((0, 2), np.int64), np.ones((2, 3), np.int64)))
+    def test_matches_saturating_oracle(self, operands):
+        fmt, a, b = operands
+        stats = SaturationStats()
+        got = accumulate_product_wide(a, b, fmt, stats)
+        want, events = oracle_mac(a, b, fmt)
+        assert got.dtype == np.int64
+        assert got.shape == (a.shape[0], b.shape[1])
+        assert got.tolist() == want
+        assert stats.events == events
+
+
 class TestDotNorm:
     def test_dot_basis_vector(self):
         v = q32(np.random.default_rng(9).uniform(-5, 5, (6, 1)))
@@ -154,6 +239,13 @@ class TestDotNorm:
         flipped = FixedMatrix.from_reps(-v.data, FIXED32)
         assert norm_fixed(perm).rep == base
         assert norm_fixed(flipped).rep == base
+
+    @pytest.mark.parametrize("sqrt_path", ["float", "integer"])
+    def test_norm_saturation_counted(self, sqrt_path):
+        stats = SaturationStats()
+        v = FixedMatrix.from_reps([[FIXED32.ubound], [FIXED32.ubound]], FIXED32)
+        assert norm_fixed(v, sqrt_path, stats).rep == FIXED32.ubound
+        assert stats.events == 1
 
     def test_norm_accepts_row_vector(self):
         v = q32(np.ones((1, 4)))
