@@ -232,21 +232,80 @@ def cast_wide(
     return FixedWord(int(cast_wide_array(_wide(t), fmt, mode, rng)), fmt)
 
 
-def _stochastic_incr_array(
-    diff: np.ndarray,
-    fmt: FixedFormat,
-    rng: np.random.Generator | None,
-    col_rngs: "list[np.random.Generator] | None",
-) -> np.ndarray:
-    prob = 1.0 - diff * fmt.epsilon
-    if col_rngs is not None:
-        # One stream per column keeps results independent of how columns are
-        # grouped across workers.
-        u = np.empty(diff.shape, dtype=np.float64)
-        for j, gen in enumerate(col_rngs):
-            u[..., j] = gen.random(diff.shape[:-1])
-        return u > prob
-    return rng.random(diff.shape) > prob
+class ColumnStreams:
+    """One counter-based stream per column, drawn in blocks.
+
+    A stochastic cast over a ``(..., p)`` array takes the next
+    ``prod(shape[:-1])`` uniforms of each of the ``p`` column streams.  A
+    stream yields its values strictly in order however they are requested,
+    so drawing ``block`` uniforms per column at a time into one ``(p, block)``
+    buffer gives every cast exactly the values that drawing from each column
+    per cast would give, with one generator call per column per block
+    instead of one per column per cast.  The generators must be distinct
+    objects.  ``settle`` moves each one back to where per-cast drawing would
+    have left it, since the last block is usually not used up.
+    """
+
+    def __init__(self, gens: list[np.random.Generator], block: int) -> None:
+        if len({id(g) for g in gens}) != len(gens):
+            raise ValueError("each column needs its own random stream")
+        self._gens = gens
+        self._start = [g.bit_generator.state for g in gens]
+        self._buf = np.empty((len(gens), block))
+        self._pos = self._buf.shape[1]  # drawn but not yet taken: width - pos
+        self._taken = 0
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The next uniforms of every column as a view of ``shape``, valid
+        until the next call."""
+        k = math.prod(shape[:-1])
+        if self._pos + k > self._buf.shape[1]:
+            self._refill(k)
+        block = self._buf[:, self._pos : self._pos + k]
+        self._pos += k
+        self._taken += k
+        return block.T.reshape(shape)
+
+    def _refill(self, need: int) -> None:
+        """Move the leftover draws to the front and draw the rest of the
+        block in place; grow the block if one cast needs more."""
+        left = self._buf.shape[1] - self._pos
+        buf = self._buf
+        if need > buf.shape[1]:
+            buf = np.empty((len(self._gens), need))
+        buf[:, :left] = self._buf[:, self._pos :]
+        for j, gen in enumerate(self._gens):
+            gen.random(out=buf[j, left:])
+        self._buf = buf
+        self._pos = 0
+
+    def settle(self) -> None:
+        """Leave every generator just past the uniforms the casts took:
+        restore its start and draw that many again."""
+        if self._pos == self._buf.shape[1]:
+            return
+        scratch = np.empty(min(self._taken, 1 << 16))
+        for gen, state in zip(self._gens, self._start):
+            gen.bit_generator.state = state
+            for at in range(0, self._taken, scratch.size):
+                gen.random(out=scratch[: self._taken - at])
+        self._pos = self._buf.shape[1]
+
+
+def _count_saturated(
+    t: np.ndarray, hi: int, lo: int, stats: "SaturationStats | None"
+) -> None:
+    """Count the cells at or beyond ``hi`` and ``lo``; the full count runs
+    only when the extremes show there is one."""
+    if stats is not None and t.size and (t.max() >= hi or t.min() <= lo):
+        stats.count(int(np.count_nonzero(t >= hi)) + int(np.count_nonzero(t <= lo)))
+
+
+def _clamp(t: np.ndarray, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """``clip(t, lo, hi)`` into ``out``, without ``np.clip``'s per-call
+    overhead."""
+    np.maximum(t, lo, out=out)
+    return np.minimum(out, hi, out=out)
 
 
 def cast_wide_array(
@@ -254,34 +313,38 @@ def cast_wide_array(
     fmt: FixedFormat,
     mode: RoundingMode = RoundingMode.NEAREST,
     rng: np.random.Generator | None = None,
-    col_rngs: "list[np.random.Generator] | None" = None,
+    col_rngs: ColumnStreams | None = None,
     stats: "SaturationStats | None" = None,
 ) -> np.ndarray:
     """Vectorised ``cast_wide`` over an int64 array of wide products.
 
-    Stochastic rounding draws exactly one uniform per cell, saturated or not,
-    from ``rng`` or from column ``j``'s stream ``col_rngs[j]``.
+    Down, up and nearest add a bias of 0, ``2**FL - 1`` or ``2**(FL-1)`` to
+    the sum clamped at the shifted bounds, then shift: the clamp saturates,
+    and the bias cannot overflow a clamped sum.  Stochastic rounding draws
+    exactly one uniform per cell, saturated or not, from ``rng`` or from
+    column ``j``'s stream in ``col_rngs``, and clamps the rounded rep.
     """
     if mode is RoundingMode.STOCHASTIC and rng is None and col_rngs is None:
         raise ValueError("stochastic rounding requires a random stream")
     fl = fmt.fraction_length
     hi = fmt.ubound << fl
     lo = fmt.lbound << fl
-    sat_hi = t >= hi
-    sat_lo = t <= lo
-    base = t >> fl
-    diff = t & ((1 << fl) - 1)
-    if mode is RoundingMode.DOWN:
-        rep = base
-    elif mode is RoundingMode.UP:
-        rep = base + (diff != 0)
+    _count_saturated(t, hi, lo, stats)
+    rep = np.empty_like(t)  # the out= arrays keep 0-d results arrays
+    if mode is RoundingMode.STOCHASTIC:
+        # Round up when u > 1 - (discarded fraction); both sides are exact.
+        keep = (t & ((1 << fl) - 1)) * -fmt.epsilon
+        keep += 1.0
+        u = rng.random(t.shape) if col_rngs is None else col_rngs.take(t.shape)
+        np.right_shift(t, fl, out=rep)
+        rep += u > keep
+        return _clamp(rep, fmt.lbound, fmt.ubound, rep)
+    _clamp(t, lo, hi, rep)
+    if mode is RoundingMode.UP:
+        rep += (1 << fl) - 1
     elif mode is RoundingMode.NEAREST:
-        rep = base + (diff >= (1 << (fl - 1)))
-    else:
-        rep = base + _stochastic_incr_array(diff, fmt, rng, col_rngs)
-    rep = np.where(sat_hi, fmt.ubound, np.where(sat_lo, fmt.lbound, rep))
-    if stats is not None:
-        stats.count(int(sat_hi.sum()) + int(sat_lo.sum()))
+        rep += 1 << (fl - 1)
+    rep >>= fl
     return rep
 
 
@@ -291,9 +354,8 @@ def cast_wide_simple_array(
     stats: "SaturationStats | None" = None,
 ) -> np.ndarray:
     """Vectorised ``cast_wide_simple``."""
-    if stats is not None:
-        stats.count(int((t >= fmt.ubound).sum()) + int((t <= fmt.lbound).sum()))
-    return np.clip(t, fmt.lbound, fmt.ubound)
+    _count_saturated(t, fmt.ubound, fmt.lbound, stats)
+    return _clamp(t, fmt.lbound, fmt.ubound, np.empty_like(t))
 
 
 def saturating_acc_add(

@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .fixedpoint import (
+    ColumnStreams,
     FixedFormat,
     FixedFormatError,
     FixedWord,
@@ -86,7 +87,7 @@ class _FixedOps:
         self,
         fmt: FixedFormat,
         mode: RoundingMode,
-        col_rngs: list[np.random.Generator] | None,
+        col_rngs: ColumnStreams | None,
         sqrt_path: str,
         stats: SaturationStats | None,
     ) -> None:
@@ -187,9 +188,13 @@ def sym_fixed(
     fmt = a.fmt
     if b.fmt != fmt:
         raise FixedFormatError(f"format mismatch: {fmt} vs {b.fmt}")
-    ops = _FixedOps(fmt, mode, None if rng is None else [rng], sqrt_path, None)
+    streams = None if rng is None else ColumnStreams([rng], 1)
+    ops = _FixedOps(fmt, mode, streams, sqrt_path, None)
     reps = np.array([[a.rep], [b.rep]], dtype=np.int64)
-    return tuple(FixedWord(int(v[0]), fmt) for v in _sym_cols(ops, reps[0], reps[1]))
+    c, s, r = _sym_cols(ops, reps[0], reps[1])
+    if streams is not None:
+        streams.settle()
+    return tuple(FixedWord(int(v[0]), fmt) for v in (c, s, r))
 
 
 # -- the recurrence --------------------------------------------------------------
@@ -383,18 +388,25 @@ def lsmr_solve_multi(
     Column ``j`` of the result equals a standalone solve against ``b[:, j]``,
     so splitting a solve into jobs over disjoint column ranges never changes
     values.  For stochastic rounding each absolute column index draws from
-    its own stream, so results stay identical for every split.
+    its own stream, so results stay identical for every split.  The streams
+    are drawn in blocks of one iteration's uniforms, ``2m + 5n + 12`` per
+    column for an ``m x n`` system, and end just past the uniforms the solve
+    used.
     """
     cols = slice(job.col_start, job.col_start + job.col_count)
     if not isinstance(job.a, FixedMatrix):
         at = np.ascontiguousarray(job.a.T)
         return _solve_block(_RealOps(), job.a, at, job.b[:, cols], job.iter_count)
-    col_rngs = None
+    streams = None
     if mode is RoundingMode.STOCHASTIC:
         if stream_factory is None:
             raise ValueError("stochastic rounding requires a stream factory")
-        col_rngs = [stream_factory(j) for j in range(cols.start, cols.stop)]
-    ops = _FixedOps(job.a.fmt, mode, col_rngs, sqrt_path, stats)
+        m, n = job.a.shape
+        gens = [stream_factory(j) for j in range(cols.start, cols.stop)]
+        streams = ColumnStreams(gens, 2 * m + 5 * n + 12)
+    ops = _FixedOps(job.a.fmt, mode, streams, sqrt_path, stats)
     at = transpose_fixed(job.a)
     x = _solve_block(ops, job.a.data, at.data, job.b.data[:, cols], job.iter_count)
+    if streams is not None:
+        streams.settle()
     return FixedMatrix(x, job.a.fmt)

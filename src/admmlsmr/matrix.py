@@ -160,11 +160,9 @@ def sum_squares_wide(
     big-integer sum clamped at the container bound; the fast int64 path is
     taken whenever overflow is provably impossible.
     """
-    m, p = reps.shape
+    m = reps.shape[0]
     sq = reps * reps  # exact: |rep| < 2**31 -> square < 2**62
-    if m == 0:
-        return np.zeros(p, dtype=np.int64)
-    max_sq = int(sq.max())
+    max_sq = int(sq.max(initial=0))
     if m * max_sq <= fmt.wide_ubound:
         return sq.sum(axis=0)
     exact = [int(s) for s in sq.astype(object).sum(axis=0)]

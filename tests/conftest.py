@@ -77,6 +77,38 @@ def oracle_mac(
     return sums, events
 
 
+def oracle_stochastic_cast(
+    t: np.ndarray, fmt: FixedFormat, gens: list, stats=None
+) -> np.ndarray:
+    """Stochastic narrowing of a (..., p) wide array, column j drawing from
+    ``gens[j]``.
+
+    Each cast draws every column's uniforms with its own generator call, in
+    C order of the leading axes; a cell rounds up when its uniform exceeds
+    one minus the discarded fraction, compared as exact rationals.
+    Saturated cells consume their uniform too.  Adds the saturation count
+    to ``stats``.
+    """
+    u = np.empty(t.shape, dtype=np.float64)
+    for j, gen in enumerate(gens):
+        u[..., j] = gen.random(t.shape[:-1])
+    scale = 1 << fmt.fraction_length
+    out = np.empty(t.shape, dtype=np.int64)
+    events = 0
+    for idx in np.ndindex(*t.shape):
+        v = int(t[idx])
+        if v >= fmt.ubound * scale:
+            out[idx], events = fmt.ubound, events + 1
+        elif v <= fmt.lbound * scale:
+            out[idx], events = fmt.lbound, events + 1
+        else:
+            low, diff = divmod(v, scale)
+            out[idx] = low + (Fraction(float(u[idx])) > 1 - Fraction(diff, scale))
+    if stats is not None:
+        stats.count(events)
+    return out
+
+
 # -- linear-algebra oracles --------------------------------------------------------
 
 def normal_equations_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Trainer tests: closed-form updates, solver-backed procedures, full sweeps."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,16 @@ def tiny_dataset(n=40, seed=0, d=4, classes=3):
     centers = rng.normal(0, 2, size=(classes, d))
     feats = centers[labels].T + rng.normal(0, 0.5, size=(d, n))
     return Dataset(feats, labels.astype(np.int64), classes)
+
+
+def state_digest(state):
+    """SHA-256 of the final weights and multiplier, shapes included."""
+    h = hashlib.sha256()
+    for arr in (*state.weights, state.lam):
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        h.update(repr(arr.shape).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
 
 
 def state_bytes(state):
@@ -344,6 +356,31 @@ class TestTrain:
         a, _ = train(NetworkConfig(**cfg, workers=1), ds)
         b, _ = train(NetworkConfig(**cfg, workers=4), ds)
         assert state_bytes(a) == state_bytes(b)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "arithmetic, digest, saturation",
+        [
+            ("fixed32", "3993ad8edf0998e38f68438bcafa40a2e5864ccee0b10f3b2ab670ca33a3736f", 1949),
+            ("fixed16", "fa872757a3238cffb3bdb13d328af3eda54f4e58a1ba43bf66c6d29998df3dfb", 21513),
+        ],
+    )
+    def test_stochastic_training_matches_recorded_state(
+        self, iris, arithmetic, digest, saturation, workers
+    ):
+        # Recorded with each column's uniforms drawn one generator call per
+        # cast; drawing them in blocks must leave every bit as it was.
+        from admmlsmr.data import split, standardize
+
+        sp = split(iris, 0.2, 0)
+        tr, te, _ = standardize(sp.train, sp.test)
+        cfg = NetworkConfig(
+            [4, 8, 8, 3], iterations=5, beta=0.1, gamma=30.0, seed=0, workers=workers,
+            arithmetic=arithmetic, rounding=RoundingMode.STOCHASTIC,
+        )
+        state, report = train(cfg, tr, te)
+        assert state_digest(state) == digest
+        assert sum(report.saturation_per_iteration) == saturation
 
     @pytest.mark.parametrize(
         "arithmetic, workers",

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from admmlsmr.fixedpoint import (
     DETERMINISTIC_MODES,
     FIXED16,
     FIXED32,
+    ColumnStreams,
     FixedFormat,
     FixedFormatError,
     FixedWord,
@@ -34,13 +37,65 @@ from admmlsmr.fixedpoint import (
     sub_f,
     value_of,
 )
-from conftest import oracle_cast_wide, oracle_convert
+from conftest import oracle_cast_wide, oracle_convert, oracle_stochastic_cast
 
 ALL_MODES = list(RoundingMode)
+INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
 
 
 def rng_for(mode, seed=0):
     return make_stream(seed, 99) if mode is RoundingMode.STOCHASTIC else None
+
+
+def wide_cells(fmt):
+    """Wide values: the shifted bounds, the word bounds and their neighbours,
+    zero, the int64 extremes, a rep near the bounds with a discarded fraction of zero, one
+    unit, just under, at or over a half, or all ones, or anything within
+    twice the shifted bounds."""
+    fl = fmt.fraction_length
+    hi = fmt.ubound << fl
+    lo = fmt.lbound << fl
+    ub, lb = fmt.ubound, fmt.lbound
+    edges = [hi, hi - 1, hi + 1, lo, lo - 1, lo + 1, ub, ub - 1, ub + 1, lb, lb - 1, lb + 1,
+             0, INT64_MIN, INT64_MAX]
+    half = 1 << (fl - 1)
+    fractions = st.sampled_from([0, 1, half - 1, half, half + 1, (1 << fl) - 1])
+    reps = st.sampled_from([lb - 1, lb, -1, 0, 1, ub - 1, ub])
+    return st.one_of(
+        st.sampled_from(edges),
+        st.builds(lambda r, f: (r << fl) + f, reps | st.integers(lb, ub), fractions),
+        st.integers(2 * lo, 2 * hi),
+    )
+
+
+def wide_array(draw, fmt, shape):
+    cells = draw(st.lists(wide_cells(fmt), min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(cells, dtype=np.int64).reshape(shape)
+
+
+@st.composite
+def wide_operands(draw):
+    """A format and a wide array of it, 0-d and empty shapes included."""
+    fmt = draw(st.sampled_from([FIXED16, FIXED32]))
+    shape = draw(st.sampled_from([(), (0,), (1,), (7,), (0, 3), (3, 4)]))
+    return fmt, wide_array(draw, fmt, shape)
+
+
+@st.composite
+def stochastic_cast_runs(draw):
+    """A format, a run of 1-D (p,) and 2-D (k, p) casts over p columns, a
+    block size below, at or above the largest cast's need, and a seed."""
+    fmt = draw(st.sampled_from([FIXED16, FIXED32]))
+    p = draw(st.integers(1, 4))
+    shapes = draw(st.lists(
+        st.one_of(st.just((p,)), st.integers(0, 6).map(lambda k: (k, p))),
+        min_size=1, max_size=8,
+    ))
+    need = max(math.prod(s[:-1]) for s in shapes)
+    block = draw(st.sampled_from([max(need - 1, 1), need, need + draw(st.integers(1, 9))]))
+    casts = [wide_array(draw, fmt, s) for s in shapes]
+    return fmt, casts, block, draw(st.integers(0, 2**32 - 1))
 
 
 class TestFormat:
@@ -215,6 +270,25 @@ class TestCastWide:
         out = cast_wide_array(wide, FIXED16, RoundingMode.NEAREST, stats=stats)
         assert out.tolist() == [FIXED16.ubound, 0, FIXED16.lbound]
         assert stats.events == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_operands())
+    def test_fused_rounding_matches_oracle(self, operands):
+        fmt, t = operands
+        hi = fmt.ubound << fmt.fraction_length
+        lo = fmt.lbound << fmt.fraction_length
+        cells = [int(v) for v in t.ravel()]
+        for mode in DETERMINISTIC_MODES:
+            stats = SaturationStats()
+            got = cast_wide_array(t, fmt, mode, stats=stats)
+            assert got.shape == t.shape
+            assert got.ravel().tolist() == [oracle_cast_wide(v, fmt, mode) for v in cells]
+            assert stats.events == sum(v >= hi or v <= lo for v in cells)
+        stats = SaturationStats()
+        got = cast_wide_simple_array(t, fmt, stats)
+        assert got.shape == t.shape
+        assert got.ravel().tolist() == [min(max(v, fmt.lbound), fmt.ubound) for v in cells]
+        assert stats.events == sum(v >= fmt.ubound or v <= fmt.lbound for v in cells)
 
 
 class TestArithmetic:
@@ -421,6 +495,32 @@ class TestStreams:
         scalars = [cast_wide(int(t), fmt, mode, gen).rep for t in wide]
         array = cast_wide_array(wide, fmt, mode, make_stream(8, fmt.word_length))
         assert scalars == array.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(stochastic_cast_runs())
+    @example((FIXED32, [np.array([[1, 2], [3, 4], [5, 6]])], 1, 0))
+    def test_block_draws_match_per_cast_draws(self, run):
+        # Block-drawn column streams give every cast, saturation count and
+        # final stream position of drawing from each column per cast.
+        fmt, casts, block, seed = run
+        p = casts[0].shape[-1]
+        mine = [make_stream(seed, j) for j in range(p)]
+        theirs = [make_stream(seed, j) for j in range(p)]
+        streams = ColumnStreams(mine, block)
+        got_stats, want_stats = SaturationStats(), SaturationStats()
+        for t in casts:
+            got = cast_wide_array(t, fmt, RoundingMode.STOCHASTIC, col_rngs=streams, stats=got_stats)
+            want = oracle_stochastic_cast(t, fmt, theirs, want_stats)
+            assert got.shape == t.shape
+            assert got.tolist() == want.tolist()
+        assert got_stats.events == want_stats.events
+        streams.settle()
+        assert [g.random() for g in mine] == [g.random() for g in theirs]
+
+    def test_shared_generator_rejected(self):
+        gen = make_stream(1, 2)
+        with pytest.raises(ValueError):
+            ColumnStreams([gen, gen], 4)
 
     def test_word_value_property(self):
         w = FixedWord(FIXED16.one, FIXED16)

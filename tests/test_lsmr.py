@@ -159,6 +159,29 @@ class TestFixedSolve:
         with pytest.raises(ValueError):
             lsmr_solve_fixed(a, b, mode=RoundingMode.STOCHASTIC)
 
+    @pytest.mark.parametrize(
+        "fmt, solution, rotation",
+        [
+            (FIXED16, [25, 701], [935, -416, 841]),
+            (FIXED32, [6391, 179497], [239550, -106467, 215151]),
+        ],
+        ids=["fixed16", "fixed32"],
+    )
+    def test_caller_stream_left_past_its_draws(self, fmt, solution, rotation):
+        # A caller's generator ends where drawing each cast's uniforms one
+        # call at a time leaves it; the values were recorded that way.
+        mode = RoundingMode.STOCHASTIC
+        a = quantize_matrix(np.array([[1.0, 0.5], [0.25, -1.0], [0.75, 0.125]]), fmt)
+        b = quantize_matrix(np.array([[0.3], [-0.7], [0.2]]), fmt)
+        gen = make_stream(4, 2)
+        x = lsmr_solve_fixed(a, b, mode=mode, rng=gen)
+        assert x.data[:, 0].tolist() == solution
+        assert gen.random() == 0.4298379211601343
+        gen = make_stream(4, 3)
+        words = sym_fixed(fmt.word(3 * fmt.one // 4), fmt.word(-fmt.one // 3), mode, gen)
+        assert [w.rep for w in words] == rotation
+        assert gen.random() == 0.2209966912170116
+
 
 class TestFixedOps:
     @pytest.mark.parametrize("sqrt_path", SQRT_PATHS)
@@ -238,6 +261,25 @@ class TestMulti:
             runs.append(np.hstack(chunks))
         assert np.array_equal(runs[0], runs[1])
         assert np.array_equal(runs[0], runs[2])
+
+    @pytest.mark.parametrize(
+        "fmt, mode",
+        [(None, None)] + [(f, m) for f in (FIXED16, FIXED32) for m in RoundingMode],
+        ids=["real"] + [f"fixed{w}-{m.value}" for w in (16, 32) for m in RoundingMode],
+    )
+    def test_empty_column_range(self, fmt, mode):
+        rng = np.random.default_rng(15)
+        a = rng.uniform(-1, 1, (4, 2))
+        b = rng.uniform(-1, 1, (4, 3))
+        if fmt is None:
+            out = lsmr_solve_multi(LsmrJob(a, b, 2, 0, 3))
+            assert out.shape == (2, 0)
+            return
+        job = LsmrJob(quantize_matrix(a, fmt), quantize_matrix(b, fmt), 2, 0, 3)
+        out = lsmr_solve_multi(job, mode, lambda col: make_stream(1, col))
+        assert isinstance(out, FixedMatrix)
+        assert out.fmt == fmt
+        assert out.data.shape == (2, 0)
 
     def test_job_validation(self):
         a = np.zeros((4, 3))
