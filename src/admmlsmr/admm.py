@@ -4,8 +4,8 @@ Each sweep alternates exact per-variable minimisations: weights and
 activations are least-squares solves handled by the LSMR solver, the
 pre-activations have elementwise closed forms, and a running multiplier
 enforces the output constraint.  The two solver-backed procedures of a layer
-are independent, so the trainer issues them as one concurrent wave of
-column-range chunks.
+are independent of each other, and so is every column of a solve; the
+trainer runs each solve as column ranges, in order, on the calling thread.
 
 The network state itself lives in doubles.  Fixed-point arithmetic, when
 selected, applies to the least-squares solves: each solve's inputs are
@@ -15,7 +15,6 @@ dequantized back.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -61,7 +60,7 @@ class NetworkConfig:
     beta: float | Sequence[float] = 1.0
     gamma: float | Sequence[float] = 1.0
     seed: int = 0
-    workers: int = 4
+    workers: int = 1
     lsmr_iterations: int | None = None
     sqrt_path: str = "float"
 
@@ -104,6 +103,8 @@ class NetworkConfig:
             out = [float(v) for v in value]
             if len(out) != n:
                 raise ValueError(f"expected {n} penalty values, got {len(out)}")
+        if not all(np.isfinite(out)):
+            raise ValueError(f"penalty parameters must be finite, got {out}")
         if any(v <= 0 for v in out):
             raise ValueError("penalty parameters must be positive")
         return out
@@ -261,38 +262,32 @@ def lagrangian_update(
 class SolveEngine:
     """Runs batched multi-column least-squares jobs for the trainer.
 
-    Owns the worker pool, the quantize/dequantize hop for fixed arithmetic,
-    per-job random streams for stochastic rounding, and per-wave timing.
-    Chunks of one wave run concurrently; results are assembled on the caller
-    thread in a fixed order, so any worker count produces identical state.
+    Owns the quantize/dequantize hop for fixed arithmetic, per-job random
+    streams for stochastic rounding and the saturation count.  A solve is
+    split into column ranges that run in order on the calling thread; every
+    column's solve is independent of the others, so any split produces
+    identical state.
     """
 
     def __init__(self, cfg: NetworkConfig) -> None:
         self.cfg = cfg
         self.fmt = cfg.fixed_format()
         self.mode = cfg.rounding
-        self.pool = (
-            ThreadPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
-        )
         self._job_counter = 0
         self.saturation = SaturationStats()
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.shutdown(wait=True)
 
     def _next_job_id(self) -> int:
         self._job_counter += 1
         return self._job_counter
 
     def prepare(self, a: np.ndarray, b: np.ndarray, chunks: int):
-        """Build the chunk tasks for one solve of ``a X ~= b`` (all columns).
+        """Split one solve of ``a X ~= b`` (all columns) into column ranges.
 
-        Returns (tasks, collect, finish, prep_seconds) where each task
-        returns (col_start, columns, seconds, saturation_events) and
-        ``finish()`` assembles the full solution after every task result is
-        in.  ``prep_seconds`` covers the quantization hop so it lands in the
-        owning procedure's time bucket.
+        Returns (tasks, collect, finish, prep_seconds): each task is a
+        zero-argument callable that solves one range, ``collect`` stores a
+        task's result, and ``finish()`` returns the full solution once every
+        result is in.  ``prep_seconds`` covers the quantization hop so it
+        lands in the owning procedure's time bucket.
         """
         prep_start = time.perf_counter()
         job_id = self._next_job_id()
@@ -316,71 +311,43 @@ class SolveEngine:
             return make_stream(seed, _TAG_ROUND, job_id, col)
 
         out = np.zeros((n, p))
-        done: list[tuple[int, np.ndarray]] = []
 
         def make_task(start: int, count: int):
-            def task() -> tuple[int, np.ndarray, float, int]:
-                stats = SaturationStats()
-                t0 = time.perf_counter()
+            def task() -> tuple[int, np.ndarray]:
                 sub = LsmrJob(a_solver, b_solver, start, count, iters)
                 res = lsmr_solve_multi(
                     sub,
                     mode=self.mode,
                     stream_factory=stream_factory,
                     sqrt_path=self.cfg.sqrt_path,
-                    stats=stats,
+                    stats=self.saturation,
                 )
                 if self.fmt is not None:
                     res = res.to_real()
-                return start, res, time.perf_counter() - t0, stats.events
+                return start, res
 
             return task
 
         tasks = [make_task(s, c) for s, c in split_ranges(0, p, chunks)]
 
-        def collect(result: tuple[int, np.ndarray, float, int]) -> float:
-            start, cols, seconds, sat = result
-            done.append((start, cols))
-            self.saturation.count(sat)
-            return seconds
+        def collect(result: tuple[int, np.ndarray]) -> None:
+            start, cols = result
+            out[:, start : start + cols.shape[1]] = cols
 
-        def finish() -> np.ndarray:
-            for start, cols in sorted(done, key=lambda item: item[0]):
-                out[:, start : start + cols.shape[1]] = cols
-            return out
+        return tasks, collect, lambda: out, time.perf_counter() - prep_start
 
-        return tasks, collect, finish, time.perf_counter() - prep_start
+    def run_wave(self, prepared) -> tuple[np.ndarray, float]:
+        """Run one prepared job's tasks in order.
 
-    def run_wave(self, prepared: list) -> list[tuple[np.ndarray, float]]:
-        """Execute every chunk task of several prepared jobs concurrently.
-
-        Returns each job's solution and seconds: its preparation time plus a
-        share of the wave's wall time in proportion to its chunks' busy time,
-        so the jobs' seconds add up to wall time at any worker count.
+        Returns the solution and the job's seconds: its preparation time plus
+        the time its tasks took.
         """
-        wave_start = time.perf_counter()
-        flat: list[tuple[int, object]] = []
-        for idx, (tasks, _, _, _) in enumerate(prepared):
-            for t in tasks:
-                flat.append((idx, t))
-        if self.pool is None:
-            outcomes = [(idx, t()) for idx, t in flat]
-        else:
-            futures = [(idx, self.pool.submit(t)) for idx, t in flat]
-            outcomes = [(idx, f.result()) for idx, f in futures]
-        busy = [0.0] * len(prepared)
-        for idx, result in outcomes:
-            busy[idx] += prepared[idx][1](result)
-        solutions = [finish() for _, _, finish, _ in prepared]
-        wall = time.perf_counter() - wave_start
-        total_busy = sum(busy)
-        shares = [
-            b / total_busy if total_busy > 0 else 1.0 / len(prepared) for b in busy
-        ]
-        return [
-            (sol, prep[3] + wall * share)
-            for sol, prep, share in zip(solutions, prepared, shares)
-        ]
+        start = time.perf_counter()
+        tasks, collect, finish, prep_seconds = prepared
+        for task in tasks:
+            collect(task())
+        solution = finish()
+        return solution, prep_seconds + time.perf_counter() - start
 
 
 def weight_update(
@@ -388,10 +355,9 @@ def weight_update(
 ) -> tuple[np.ndarray, float]:
     """Least-squares weights: solve x_prev^T W^T ~= z_l^T column by column."""
     t0 = time.perf_counter()
-    a, b = _weight_system(z_l, x_prev)
+    a, b = np.ascontiguousarray(x_prev.T), np.ascontiguousarray(z_l.T)
     prep = time.perf_counter() - t0
-    prepared = engine.prepare(a, b, chunks)
-    (solution, seconds), = engine.run_wave([prepared])
+    solution, seconds = engine.run_wave(engine.prepare(a, b, chunks))
     return np.ascontiguousarray(solution.T), prep + seconds
 
 
@@ -406,22 +372,11 @@ def activation_update(
 ) -> tuple[np.ndarray, float]:
     """Solve (gamma I + beta W^T W) x = gamma relu(z) + beta W^T z_next."""
     t0 = time.perf_counter()
-    part1, part2 = _activation_system(w_next, z_next, z_l, beta_next, gamma_l)
-    prep = time.perf_counter() - t0
-    prepared = engine.prepare(part1, part2, chunks)
-    (solution, seconds), = engine.run_wave([prepared])
-    return solution, prep + seconds
-
-
-def _weight_system(z_l, x_prev):
-    return np.ascontiguousarray(x_prev.T), np.ascontiguousarray(z_l.T)
-
-
-def _activation_system(w_next, z_next, z_l, beta_next, gamma_l):
-    n = w_next.shape[1]
-    part1 = gamma_l * np.eye(n) + beta_next * (w_next.T @ w_next)
+    part1 = gamma_l * np.eye(w_next.shape[1]) + beta_next * (w_next.T @ w_next)
     part2 = gamma_l * relu(z_l) + beta_next * (w_next.T @ z_next)
-    return part1, part2
+    prep = time.perf_counter() - t0
+    solution, seconds = engine.run_wave(engine.prepare(part1, part2, chunks))
+    return solution, prep + seconds
 
 
 # -- inference -------------------------------------------------------------------
@@ -455,11 +410,11 @@ def train(
 ) -> tuple[NetworkState, TrainReport]:
     """Run the full training loop and measure it.
 
-    Every sweep walks the hidden layers, issuing that layer's weight and
-    activation solves as one concurrent wave (they have no mutual
-    dependency), then applies the elementwise pre-activation update; the
-    output layer gets its weight solve, the closed-form output update and the
-    multiplier step.  Per-procedure times accumulate into the report.
+    Every sweep walks the hidden layers, solving each layer's weights and
+    then its activations (neither solve reads what the other writes) and
+    applying the elementwise pre-activation update; the output layer gets
+    its weight solve, the closed-form output update and the multiplier step.
+    Per-procedure times accumulate into the report.
     """
     x0 = train_set.features
     y = one_hot(train_set.labels, train_set.class_count)
@@ -477,65 +432,46 @@ def train(
     proc_chunks = max(1, cfg.workers // 2)
     wall_start = time.perf_counter()
 
-    try:
-        for _ in range(cfg.iterations):
-            timings = IterationTimings()
-            sat_before = engine.saturation.events
-            for l in range(n_layers - 1):
-                x_prev = state.x0 if l == 0 else state.x[l - 1]
-
-                t0 = time.perf_counter()
-                a_w, b_w = _weight_system(state.z[l], x_prev)
-                weight_prep = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                part1, part2 = _activation_system(
-                    state.weights[l + 1], state.z[l + 1], state.z[l],
-                    betas[l + 1], gammas[l],
-                )
-                act_prep = time.perf_counter() - t0
-
-                jobs = [
-                    engine.prepare(a_w, b_w, proc_chunks),
-                    engine.prepare(part1, part2, proc_chunks),
-                ]
-                (w_sol, w_secs), (x_sol, a_secs) = engine.run_wave(jobs)
-                state.weights[l] = np.ascontiguousarray(w_sol.T)
-                state.x[l] = x_sol
-                timings.weight += weight_prep + w_secs
-                timings.activation += act_prep + a_secs
-
-                t0 = time.perf_counter()
-                state.z[l] = z_update_hidden(
-                    state.x[l], state.weights[l] @ x_prev, gammas[l], betas[l]
-                )
-                timings.output += time.perf_counter() - t0
-
-            # output layer: weight solve, closed-form z, multiplier ascent
-            x_prev = state.x[-1] if n_layers > 1 else state.x0
-            w_sol, secs = weight_update(
-                state.z[-1], x_prev, engine, min(cfg.workers, state.z[-1].shape[0])
-            )
-            state.weights[-1] = w_sol
+    for _ in range(cfg.iterations):
+        timings = IterationTimings()
+        sat_before = engine.saturation.events
+        for l in range(n_layers - 1):
+            x_prev = state.x0 if l == 0 else state.x[l - 1]
+            state.weights[l], secs = weight_update(state.z[l], x_prev, engine, proc_chunks)
             timings.weight += secs
+            state.x[l], secs = activation_update(
+                state.weights[l + 1], state.z[l + 1], state.z[l],
+                betas[l + 1], gammas[l], engine, proc_chunks,
+            )
+            timings.activation += secs
 
             t0 = time.perf_counter()
-            b_out = state.weights[-1] @ x_prev
-            state.z[-1] = z_update_output(y, b_out, state.lam, betas[-1])
+            state.z[l] = z_update_hidden(
+                state.x[l], state.weights[l] @ x_prev, gammas[l], betas[l]
+            )
             timings.output += time.perf_counter() - t0
 
-            t0 = time.perf_counter()
-            state.lam = lagrangian_update(state.lam, betas[-1], state.z[-1], b_out)
-            timings.lagrangian += time.perf_counter() - t0
+        # output layer: weight solve, closed-form z, multiplier ascent
+        x_prev = state.x[-1]
+        state.weights[-1], secs = weight_update(
+            state.z[-1], x_prev, engine, min(cfg.workers, state.z[-1].shape[0])
+        )
+        timings.weight += secs
 
-            report.timings.append(timings)
-            report.saturation_per_iteration.append(engine.saturation.events - sat_before)
-            if cfg.arithmetic == "real":
-                _check_finite(state)
-        # the sweeps' wall time; like creating the pool, shutting it down is
-        # no part of a sweep
-        report.wall_seconds = time.perf_counter() - wall_start
-    finally:
-        engine.close()
+        t0 = time.perf_counter()
+        b_out = state.weights[-1] @ x_prev
+        state.z[-1] = z_update_output(y, b_out, state.lam, betas[-1])
+        timings.output += time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        state.lam = lagrangian_update(state.lam, betas[-1], state.z[-1], b_out)
+        timings.lagrangian += time.perf_counter() - t0
+
+        report.timings.append(timings)
+        report.saturation_per_iteration.append(engine.saturation.events - sat_before)
+        if cfg.arithmetic == "real":
+            _check_finite(state)
+    report.wall_seconds = time.perf_counter() - wall_start
 
     outputs = predict(state.weights, x0)
     report.train_accuracy = accuracy(outputs, train_set.labels)

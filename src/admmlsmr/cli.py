@@ -72,7 +72,7 @@ def _add_run_flags(p: argparse.ArgumentParser, iters_default: int = 100) -> None
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=4)
+    p.add_argument("--workers", type=int, default=1, help="column ranges per solve")
     p.add_argument("--test-frac", type=float, default=0.2)
     p.add_argument("--subsample", type=int, default=None, help="rows kept before splitting")
     p.add_argument("--lsmr-iters", type=int, default=None, help="override min(m,n)")
@@ -147,7 +147,6 @@ def cmd_train(args) -> int:
     report = _run_once(args, args.seed, args.arithmetic, args.rounding, ds)
     payload = report.to_dict()
     payload["dataset"] = info
-    payload["workers"] = args.workers
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 

@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
 
+from admmlsmr import admm
 from admmlsmr.admm import (
     NetworkConfig,
     SolveEngine,
@@ -173,6 +175,11 @@ class TestInit:
             NetworkConfig([4, 8, 3], beta=[1.0])  # wrong penalty count
         with pytest.raises(ValueError):
             NetworkConfig([4, 8, 3], gamma=-1.0)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                NetworkConfig([4, 8, 3], beta=bad)
+            with pytest.raises(ValueError, match="finite"):
+                NetworkConfig([4, 8, 3], gamma=[bad])
         with pytest.raises(ValueError):
             NetworkConfig([4, 8, 3], sqrt_path="newton")
         with pytest.raises(ValueError):
@@ -192,19 +199,13 @@ class TestWeightUpdate:
         x_prev = rng.standard_normal((3, 40))  # full row rank
         z = w0 @ x_prev
         engine = make_engine()
-        try:
-            w, _ = weight_update(z, x_prev, engine, chunks=1)
-        finally:
-            engine.close()
+        w, _ = weight_update(z, x_prev, engine, chunks=1)
         assert np.abs(w - w0).max() < 1e-6
 
     def test_zero_targets_give_zero_weights(self):
         rng = np.random.default_rng(11)
         engine = make_engine()
-        try:
-            w, _ = weight_update(np.zeros((4, 20)), rng.standard_normal((3, 20)), engine, 1)
-        finally:
-            engine.close()
+        w, _ = weight_update(np.zeros((4, 20)), rng.standard_normal((3, 20)), engine, 1)
         assert not w.any()
 
     def test_square_invertible_case(self):
@@ -213,10 +214,7 @@ class TestWeightUpdate:
         w0 = rng.uniform(-1, 1, (4, 6))
         z = w0 @ x_prev
         engine = make_engine()
-        try:
-            w, _ = weight_update(z, x_prev, engine, 2)
-        finally:
-            engine.close()
+        w, _ = weight_update(z, x_prev, engine, 2)
         want = z @ np.linalg.inv(x_prev)
         assert np.abs(w - want).max() < 1e-6
 
@@ -226,12 +224,9 @@ class TestActivationUpdate:
         rng = np.random.default_rng(13)
         z_l = rng.standard_normal((6, 15))
         engine = make_engine()
-        try:
-            x, _ = activation_update(
-                np.zeros((4, 6)), np.zeros((4, 15)), z_l, 1.0, 2.0, engine, 1
-            )
-        finally:
-            engine.close()
+        x, _ = activation_update(
+            np.zeros((4, 6)), np.zeros((4, 15)), z_l, 1.0, 2.0, engine, 1
+        )
         assert np.abs(x - np.maximum(z_l, 0.0)).max() < 1e-9
 
     def test_dominant_gamma_limit(self):
@@ -240,10 +235,7 @@ class TestActivationUpdate:
         z_next = rng.standard_normal((5, 10))
         z_l = rng.standard_normal((6, 10))
         engine = make_engine()
-        try:
-            x, _ = activation_update(w_next, z_next, z_l, 1.0, 1e6, engine, 1)
-        finally:
-            engine.close()
+        x, _ = activation_update(w_next, z_next, z_l, 1.0, 1e6, engine, 1)
         assert np.abs(x - np.maximum(z_l, 0.0)).max() < 1e-3
 
     def test_matches_dense_solve(self):
@@ -253,10 +245,7 @@ class TestActivationUpdate:
         z_l = rng.standard_normal((6, 12))
         beta, gamma = 0.7, 1.3
         engine = make_engine()
-        try:
-            x, _ = activation_update(w_next, z_next, z_l, beta, gamma, engine, 2)
-        finally:
-            engine.close()
+        x, _ = activation_update(w_next, z_next, z_l, beta, gamma, engine, 2)
         part1 = gamma * np.eye(6) + beta * w_next.T @ w_next
         part2 = gamma * np.maximum(z_l, 0) + beta * w_next.T @ z_next
         assert np.abs(x - np.linalg.solve(part1, part2)).max() < 1e-6
@@ -395,8 +384,23 @@ class TestTrain:
         _, report = train(cfg, ds)
         tracked = sum(t.total() for t in report.timings)
         assert tracked >= 0.95 * report.wall_seconds
-        # concurrent chunks share their wave's wall time instead of adding up
+        # each solve is timed once, whatever its column split
         assert tracked <= 1.05 * report.wall_seconds
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_solves_run_on_the_calling_thread(self, monkeypatch, workers):
+        threads = []
+        solve = admm.lsmr_solve_multi
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(admm, "lsmr_solve_multi", recording)
+        ds = tiny_dataset(n=40)
+        train(NetworkConfig([4, 6, 6, 3], iterations=2, seed=3, workers=workers), ds)
+        assert threads
+        assert set(threads) == {threading.get_ident()}
 
     def test_output_width_must_match_classes(self):
         ds = tiny_dataset()
