@@ -63,12 +63,12 @@ class FixedFormat:
         """Smallest representable positive value, 2**-FL."""
         return 2.0 ** -self.fraction_length
 
-    @property
+    @cached_property
     def ubound(self) -> int:
         """Rep of the largest value: all bits set except the sign bit."""
         return (1 << (self.word_length - 1)) - 1
 
-    @property
+    @cached_property
     def lbound(self) -> int:
         """Rep of the smallest value: only the sign bit set."""
         return -(1 << (self.word_length - 1))
@@ -81,20 +81,20 @@ class FixedFormat:
     def lbound_value(self) -> float:
         return self.lbound * self.epsilon
 
-    @property
+    @cached_property
     def one(self) -> int:
         return 1 << self.fraction_length
 
-    @property
+    @cached_property
     def minus_one(self) -> int:
         return -(1 << self.fraction_length)
 
-    @property
+    @cached_property
     def wide_ubound(self) -> int:
         """Upper bound of the 2x-word-length accumulator container."""
         return (1 << (2 * self.word_length - 1)) - 1
 
-    @property
+    @cached_property
     def wide_lbound(self) -> int:
         return -(1 << (2 * self.word_length - 1))
 
@@ -172,28 +172,23 @@ def convert_array(
     x = np.asarray(x, dtype=np.float64)
     if np.isnan(x).any():
         raise ValueError("cannot convert NaN")
-    sat_hi = x >= fmt.ubound_value
-    sat_lo = x <= fmt.lbound_value
+    _count_saturated(x, fmt.ubound_value, fmt.lbound_value, stats)
     # Clamp before scaling so inf and huge values never reach the int cast.
     # Scaling by a power of two is exact for in-range doubles, so floor and
-    # the fractional remainder are computed without rounding error.
-    safe = np.clip(x, fmt.lbound_value, fmt.ubound_value)
-    y = safe * float(1 << fmt.fraction_length)
-    low = np.floor(y)
+    # the fractional remainder are computed without rounding error.  A
+    # clamped cell is a bound's rep with a zero fraction, which no mode
+    # rounds away from.
+    y = _clamp(x, fmt.lbound_value, fmt.ubound_value, np.empty_like(x))
+    y *= float(1 << fmt.fraction_length)
+    low = np.floor(y, out=np.empty_like(y))  # out= keeps a 0-d result an array
     frac = y - low
-    low = low.astype(np.int64)
-    if mode is RoundingMode.DOWN:
-        rep = low
-    elif mode is RoundingMode.UP:
-        rep = low + (frac > 0.0)
+    rep = low.astype(np.int64)
+    if mode is RoundingMode.UP:
+        rep += frac > 0.0
     elif mode is RoundingMode.NEAREST:
-        rep = low + (frac >= 0.5)
-    else:
-        u = rng.random(x.shape)
-        rep = low + (u > 1.0 - frac)
-    rep = np.where(sat_hi, fmt.ubound, np.where(sat_lo, fmt.lbound, rep))
-    if stats is not None:
-        stats.count(int(sat_hi.sum()) + int(sat_lo.sum()))
+        rep += frac >= 0.5
+    elif mode is RoundingMode.STOCHASTIC:
+        rep += rng.random(x.shape) > 1.0 - frac
     return rep
 
 
@@ -233,67 +228,54 @@ def cast_wide(
 
 
 class ColumnStreams:
-    """One counter-based stream per column, drawn in blocks.
+    """One counter-based stream per column, drawn in exact blocks.
 
     A stochastic cast over a ``(..., p)`` array takes the next
     ``prod(shape[:-1])`` uniforms of each of the ``p`` column streams.  A
     stream yields its values strictly in order however they are requested,
-    so drawing ``block`` uniforms per column at a time into one ``(p, block)``
-    buffer gives every cast exactly the values that drawing from each column
-    per cast would give, with one generator call per column per block
-    instead of one per column per cast.  The generators must be distinct
-    objects.  ``settle`` moves each one back to where per-cast drawing would
-    have left it, since the last block is usually not used up.
+    so drawing a block of uniforms per column into one ``(p, width)`` buffer
+    gives every cast exactly the values that drawing from each column per
+    cast would give, with one generator call per column per block instead of
+    one per column per cast.  The generators must be distinct objects.
+
+    The caller states its draw schedule: ``first`` uniforms per column
+    (default ``block``), then ``block`` at a time.  A block is drawn only
+    when the last one is used up and a non-empty cast needs more, and a cast
+    that would run past the end of a block raises ``RuntimeError``, so no
+    generator ever moves past a uniform that no cast took.
     """
 
-    def __init__(self, gens: list[np.random.Generator], block: int) -> None:
+    def __init__(
+        self, gens: list[np.random.Generator], block: int, first: int | None = None
+    ) -> None:
         if len({id(g) for g in gens}) != len(gens):
             raise ValueError("each column needs its own random stream")
         self._gens = gens
-        self._start = [g.bit_generator.state for g in gens]
-        self._buf = np.empty((len(gens), block))
-        self._pos = self._buf.shape[1]  # drawn but not yet taken: width - pos
-        self._taken = 0
+        self._block = block
+        self._next = block if first is None else first  # width of the next block
+        self._buf = np.empty((len(gens), 0))
+        self._pos = 0
 
     def take(self, shape: tuple[int, ...]) -> np.ndarray:
         """The next uniforms of every column as a view of ``shape``, valid
         until the next call."""
         k = math.prod(shape[:-1])
+        if k and self._pos == self._buf.shape[1]:
+            if self._buf.shape[1] != self._next:
+                self._buf = np.empty((len(self._gens), self._next))
+            for gen, row in zip(self._gens, self._buf):
+                gen.random(out=row)
+            self._pos = 0
+            self._next = self._block
         if self._pos + k > self._buf.shape[1]:
-            self._refill(k)
+            raise RuntimeError(f"a cast of {k} uniforms runs past the end of a block")
         block = self._buf[:, self._pos : self._pos + k]
         self._pos += k
-        self._taken += k
         return block.T.reshape(shape)
-
-    def _refill(self, need: int) -> None:
-        """Move the leftover draws to the front and draw the rest of the
-        block in place; grow the block if one cast needs more."""
-        left = self._buf.shape[1] - self._pos
-        buf = self._buf
-        if need > buf.shape[1]:
-            buf = np.empty((len(self._gens), need))
-        buf[:, :left] = self._buf[:, self._pos :]
-        for j, gen in enumerate(self._gens):
-            gen.random(out=buf[j, left:])
-        self._buf = buf
-        self._pos = 0
-
-    def settle(self) -> None:
-        """Leave every generator just past the uniforms the casts took:
-        restore its start and draw that many again."""
-        if self._pos == self._buf.shape[1]:
-            return
-        scratch = np.empty(min(self._taken, 1 << 16))
-        for gen, state in zip(self._gens, self._start):
-            gen.bit_generator.state = state
-            for at in range(0, self._taken, scratch.size):
-                gen.random(out=scratch[: self._taken - at])
-        self._pos = self._buf.shape[1]
 
 
 def _count_saturated(
-    t: np.ndarray, hi: int, lo: int, stats: "SaturationStats | None"
+    t: np.ndarray, hi: float, lo: float, stats: "SaturationStats | None"
 ) -> None:
     """Count the cells at or beyond ``hi`` and ``lo``; the full count runs
     only when the extremes show there is one."""
@@ -301,7 +283,7 @@ def _count_saturated(
         stats.count(int(np.count_nonzero(t >= hi)) + int(np.count_nonzero(t <= lo)))
 
 
-def _clamp(t: np.ndarray, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+def _clamp(t: np.ndarray, lo: float, hi: float, out: np.ndarray) -> np.ndarray:
     """``clip(t, lo, hi)`` into ``out``, without ``np.clip``'s per-call
     overhead."""
     np.maximum(t, lo, out=out)

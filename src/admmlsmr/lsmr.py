@@ -192,8 +192,6 @@ def sym_fixed(
     ops = _FixedOps(fmt, mode, streams, sqrt_path, None)
     reps = np.array([[a.rep], [b.rep]], dtype=np.int64)
     c, s, r = _sym_cols(ops, reps[0], reps[1])
-    if streams is not None:
-        streams.settle()
     return tuple(FixedWord(int(v[0]), fmt) for v in (c, s, r))
 
 
@@ -388,10 +386,10 @@ def lsmr_solve_multi(
     Column ``j`` of the result equals a standalone solve against ``b[:, j]``,
     so splitting a solve into jobs over disjoint column ranges never changes
     values.  For stochastic rounding each absolute column index draws from
-    its own stream, so results stay identical for every split.  The streams
-    are drawn in blocks of one iteration's uniforms, ``2m + 5n + 12`` per
-    column for an ``m x n`` system, and end just past the uniforms the solve
-    used.
+    its own stream, so results stay identical for every split.  For an
+    ``m x n`` system each column draws ``n + 1`` uniforms before the loop and
+    exactly ``2m + 5n + 11`` per iteration, so the streams are drawn in those
+    blocks and end just past the uniforms the solve used.
     """
     cols = slice(job.col_start, job.col_start + job.col_count)
     if not isinstance(job.a, FixedMatrix):
@@ -403,10 +401,8 @@ def lsmr_solve_multi(
             raise ValueError("stochastic rounding requires a stream factory")
         m, n = job.a.shape
         gens = [stream_factory(j) for j in range(cols.start, cols.stop)]
-        streams = ColumnStreams(gens, 2 * m + 5 * n + 12)
+        streams = ColumnStreams(gens, 2 * m + 5 * n + 11, first=n + 1)
     ops = _FixedOps(job.a.fmt, mode, streams, sqrt_path, stats)
     at = transpose_fixed(job.a)
     x = _solve_block(ops, job.a.data, at.data, job.b.data[:, cols], job.iter_count)
-    if streams is not None:
-        streams.settle()
     return FixedMatrix(x, job.a.fmt)

@@ -84,18 +84,26 @@ def wide_operands(draw):
 
 @st.composite
 def stochastic_cast_runs(draw):
-    """A format, a run of 1-D (p,) and 2-D (k, p) casts over p columns, a
-    block size below, at or above the largest cast's need, and a seed."""
+    """A format, a draw schedule (``first``, then ``block`` uniforms per
+    column), a run of 1-D (p,) and 2-D (k, p) casts over p columns that fills
+    the first block and then whole blocks, with empty casts anywhere,
+    boundaries included, and a seed."""
     fmt = draw(st.sampled_from([FIXED16, FIXED32]))
     p = draw(st.integers(1, 4))
-    shapes = draw(st.lists(
-        st.one_of(st.just((p,)), st.integers(0, 6).map(lambda k: (k, p))),
-        min_size=1, max_size=8,
-    ))
-    need = max(math.prod(s[:-1]) for s in shapes)
-    block = draw(st.sampled_from([max(need - 1, 1), need, need + draw(st.integers(1, 9))]))
+    first = draw(st.integers(1, 8))
+    block = draw(st.integers(1, 8))
+    shapes = []
+    for width in [first] + [block] * draw(st.integers(0, 3)):
+        while width:
+            if draw(st.booleans()):
+                shapes.append((0, p))
+            k = draw(st.integers(1, width))
+            shapes.append((p,) if k == 1 and draw(st.booleans()) else (k, p))
+            width -= k
+    if draw(st.booleans()):
+        shapes.append((0, p))
     casts = [wide_array(draw, fmt, s) for s in shapes]
-    return fmt, casts, block, draw(st.integers(0, 2**32 - 1))
+    return fmt, casts, first, block, draw(st.integers(0, 2**32 - 1))
 
 
 class TestFormat:
@@ -225,6 +233,22 @@ class TestConvert:
             reps = convert_array(np.full(n, x), FIXED16, RoundingMode.STOCHASTIC, gen)
             mean = (reps * FIXED16.epsilon).mean()
             assert abs(mean - x) <= 4 * FIXED16.epsilon / math.sqrt(n)
+
+    @pytest.mark.parametrize("fmt", [FIXED16, FIXED32], ids=["fixed16", "fixed32"])
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=[m.value for m in ALL_MODES])
+    def test_saturation_counted(self, fmt, mode):
+        # A cell at or beyond a bound is one saturation event and holds the
+        # bound's rep; one ulp inside a bound is neither.
+        hi, lo = fmt.ubound_value, fmt.lbound_value
+        edges = [math.inf, -math.inf, hi, lo, np.nextafter(hi, 0), np.nextafter(lo, 0),
+                 np.nextafter(hi, math.inf), np.nextafter(lo, -math.inf), 0.0, 1e300, -1e300]
+        rng = np.random.default_rng(11)
+        xs = np.concatenate([edges, rng.uniform(2 * lo, 2 * hi, 200), rng.uniform(lo, hi, 200)])
+        stats = SaturationStats()
+        reps = convert_array(xs, fmt, mode, rng_for(mode), stats)
+        high, low = xs >= hi, xs <= lo
+        assert stats.events == int(np.count_nonzero(high | low))
+        assert (reps[high] == fmt.ubound).all() and (reps[low] == fmt.lbound).all()
 
 
 class TestCastWide:
@@ -498,15 +522,18 @@ class TestStreams:
 
     @settings(max_examples=200, deadline=None)
     @given(stochastic_cast_runs())
-    @example((FIXED32, [np.array([[1, 2], [3, 4], [5, 6]])], 1, 0))
+    @example((FIXED32, [np.array([[1, 2], [3, 4], [5, 6]])], 3, 1, 0))
+    @example((FIXED16, [np.zeros((2, 1), np.int64), np.zeros((0, 1), np.int64),
+                        np.zeros((3, 1), np.int64), np.zeros((0, 1), np.int64)], 2, 3, 5))
     def test_block_draws_match_per_cast_draws(self, run):
-        # Block-drawn column streams give every cast, saturation count and
-        # final stream position of drawing from each column per cast.
-        fmt, casts, block, seed = run
+        # Column streams drawn in the casts' exact schedule give every cast,
+        # saturation count and final stream position of drawing from each
+        # column per cast; an empty cast at a boundary draws nothing.
+        fmt, casts, first, block, seed = run
         p = casts[0].shape[-1]
         mine = [make_stream(seed, j) for j in range(p)]
         theirs = [make_stream(seed, j) for j in range(p)]
-        streams = ColumnStreams(mine, block)
+        streams = ColumnStreams(mine, block, first)
         got_stats, want_stats = SaturationStats(), SaturationStats()
         for t in casts:
             got = cast_wide_array(t, fmt, RoundingMode.STOCHASTIC, col_rngs=streams, stats=got_stats)
@@ -514,8 +541,12 @@ class TestStreams:
             assert got.shape == t.shape
             assert got.tolist() == want.tolist()
         assert got_stats.events == want_stats.events
-        streams.settle()
         assert [g.random() for g in mine] == [g.random() for g in theirs]
+        # A cast that runs past the end of the first block raises.
+        straddle = ColumnStreams([make_stream(seed, p)], block, first)
+        straddle.take((first - 1, 1))
+        with pytest.raises(RuntimeError):
+            straddle.take((2, 1))
 
     def test_shared_generator_rejected(self):
         gen = make_stream(1, 2)

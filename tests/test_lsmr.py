@@ -211,7 +211,7 @@ class TestMulti:
         right = lsmr_solve_multi(LsmrJob(a, b, 4, 4, 8))
         assert np.array_equal(np.hstack([left, right]), whole)
 
-    def test_worker_pool_identical(self):
+    def test_column_splits_identical(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((20, 8))
         b = rng.standard_normal((20, 12))
@@ -261,6 +261,23 @@ class TestMulti:
             runs.append(np.hstack(chunks))
         assert np.array_equal(runs[0], runs[1])
         assert np.array_equal(runs[0], runs[2])
+
+    @pytest.mark.parametrize("fmt", [FIXED16, FIXED32], ids=["fixed16", "fixed32"])
+    @pytest.mark.parametrize("m, n, p, iters", [(3, 2, 1, 1), (12, 5, 3, 4), (9, 9, 4, 8), (6, 10, 2, 5)])
+    def test_stochastic_draw_schedule(self, fmt, m, n, p, iters):
+        # A solve that runs all its iterations leaves each column's stream
+        # n + 1 uniforms past its start, plus 2m + 5n + 11 per iteration.
+        rng = np.random.default_rng(16)
+        a = conditioned_system(rng, max(m, n), min(m, n), 4.0)
+        a = quantize_matrix(a if m >= n else a.T, fmt)
+        b = quantize_matrix(rng.uniform(-1, 1, (m, p)), fmt)
+        gens = [make_stream(3, j) for j in range(p)]
+        lsmr_solve_multi(LsmrJob.full(a, b, iters), RoundingMode.STOCHASTIC, lambda j: gens[j])
+        drawn = (n + 1) + iters * (2 * m + 5 * n + 11)
+        for j, gen in enumerate(gens):
+            fresh = make_stream(3, j)
+            fresh.random(drawn)
+            assert gen.random() == fresh.random()
 
     @pytest.mark.parametrize(
         "fmt, mode",
