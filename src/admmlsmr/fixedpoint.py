@@ -242,7 +242,8 @@ class ColumnStreams:
     (default ``block``), then ``block`` at a time.  A block is drawn only
     when the last one is used up and a non-empty cast needs more, and a cast
     that would run past the end of a block raises ``RuntimeError``, so no
-    generator ever moves past a uniform that no cast took.
+    generator ever moves past a uniform that no cast took.  A column that
+    stops leaves through ``keep`` and draws nothing more.
     """
 
     def __init__(
@@ -272,6 +273,11 @@ class ColumnStreams:
         block = self._buf[:, self._pos : self._pos + k]
         self._pos += k
         return block.T.reshape(shape)
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the columns where ``mask`` is false, with their buffer rows."""
+        self._gens = [gen for gen, kept in zip(self._gens, mask) if kept]
+        self._buf = self._buf[mask]
 
 
 def _count_saturated(
@@ -370,7 +376,8 @@ def saturating_acc_add(
 
 # -- primitive arithmetic ----------------------------------------------------
 
-def _check_fmt(a: FixedWord, b: FixedWord) -> FixedFormat:
+def _check_fmt(a, b) -> FixedFormat:
+    """The format two fixed operands (words or matrices) share."""
     if a.fmt != b.fmt:
         raise FixedFormatError(f"format mismatch: {a.fmt} vs {b.fmt}")
     return a.fmt

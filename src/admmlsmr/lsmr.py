@@ -4,7 +4,8 @@ The solver runs a fixed iteration budget (default ``min(m, n)``) with no
 stopping rules.  One recurrence serves both arithmetics: it advances a block
 of right-hand-side columns together against an ops object that supplies the
 arithmetic, and keeps every column independent of the others, so any split
-of the columns into blocks gives bit-identical results.
+of the columns into blocks gives bit-identical results, saturation counts
+and stream positions.
 """
 from __future__ import annotations
 
@@ -16,10 +17,10 @@ import numpy as np
 from .fixedpoint import (
     ColumnStreams,
     FixedFormat,
-    FixedFormatError,
     FixedWord,
     RoundingMode,
     SaturationStats,
+    _check_fmt,
     cast_wide_array,
     cast_wide_simple_array,
     float_sqrt_array,
@@ -45,12 +46,14 @@ class _RealOps:
     zero = 0.0
     one = 1.0
     minus_one = -1.0
+    col_rngs = None
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a * b
 
     def div(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
-        return num / den
+        """``num / den``, with a zero denominator read as one."""
+        return num / np.where(den == 0, self.one, den)
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a + b
@@ -110,6 +113,8 @@ class _FixedOps:
         return self.cast(a * b)
 
     def div(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        """Truncating ``num / den``, with a zero denominator read as one."""
+        den = np.where(den == 0, self.one, den)
         q = trunc_div_array(num << self.fmt.fraction_length, den)
         return cast_wide_simple_array(q, self.fmt, self.stats)
 
@@ -142,10 +147,6 @@ class _FixedOps:
 Ops = _RealOps | _FixedOps
 
 
-def _safe(den: np.ndarray, ops: Ops) -> np.ndarray:
-    return np.where(den == 0, ops.one, den)
-
-
 # -- Givens rotations ----------------------------------------------------------
 
 def _sym_cols(
@@ -159,11 +160,11 @@ def _sym_cols(
     take_b = np.abs(b) > np.abs(a)
     big = np.where(take_b, b, a)
     small = np.where(take_b, a, b)
-    tau = ops.div(small, _safe(big, ops))
+    tau = ops.div(small, big)
     sign = np.where(big >= 0, ops.one, ops.minus_one)
-    lead = ops.div(sign, _safe(ops.hypot1(tau), ops))
+    lead = ops.div(sign, ops.hypot1(tau))
     other = ops.mul(lead, tau)
-    r = ops.div(big, _safe(lead, ops))
+    r = ops.div(big, lead)
     degenerate = (a == 0) & (b == 0)
     c = np.where(degenerate, ops.one, np.where(take_b, other, lead))
     s = np.where(degenerate, ops.zero, np.where(take_b, lead, other))
@@ -185,9 +186,7 @@ def sym_fixed(
     sqrt_path: str = "float",
 ) -> tuple[FixedWord, FixedWord, FixedWord]:
     """Fixed-point Givens rotation: the same rotation in word arithmetic."""
-    fmt = a.fmt
-    if b.fmt != fmt:
-        raise FixedFormatError(f"format mismatch: {fmt} vs {b.fmt}")
+    fmt = _check_fmt(a, b)
     streams = None if rng is None else ColumnStreams([rng], 1)
     ops = _FixedOps(fmt, mode, streams, sqrt_path, None)
     reps = np.array([[a.rep], [b.rep]], dtype=np.int64)
@@ -203,20 +202,23 @@ def _solve_block(
     """Run the solver recurrences on a block of right-hand-side columns.
 
     ``at`` is ``a`` transposed.  Every reduction keeps a fixed per-column
-    order, so the block result is bit-identical to solving each column on its
-    own.  Columns that break down (zero norm or a quotient denominator that
-    is zero) freeze at their current iterate; a zero input column yields a
-    zero solution column.
+    order, so each lane computes what solving its column alone computes.  A
+    column stops one way only: once it breaks down (a zero norm, or a
+    quotient denominator that is zero) it leaves the block at the top of the
+    next iteration, with its current iterate as its solution, and takes no
+    further arithmetic, saturations or draws.  So a column's solution,
+    saturation count and stream position never depend on its block.  A zero
+    input column yields a zero solution column.
     """
     p = b.shape[1]
 
     beta = ops.norm_cols(b)
     active = beta != 0
-    u = ops.div(b, _safe(beta, ops))
+    u = ops.div(b, beta)
     w = ops.matmul(at, u)
     alpha = ops.norm_cols(w)
     active &= alpha != 0
-    v = ops.div(w, _safe(alpha, ops))
+    v = ops.div(w, alpha)
 
     zetabar = ops.mul(alpha, beta)
     alphabar = alpha.copy()
@@ -227,76 +229,69 @@ def _solve_block(
     h = v.copy()
     hbar = np.zeros_like(v)
     x = np.zeros_like(v)
+    out = np.zeros_like(v)
+    lanes = np.arange(p)
 
     for _ in range(iters):
-        if not active.any():
+        if not active.all():
+            out[:, lanes[~active]] = x[:, ~active]
+            lanes = lanes[active]
+            u, v, h, hbar, x, alpha, alphabar, zetabar, rho, rhobar, cbar, sbar = (
+                var[..., active]
+                for var in (u, v, h, hbar, x, alpha, alphabar, zetabar, rho, rhobar, cbar, sbar)
+            )
+            if ops.col_rngs is not None:
+                ops.col_rngs.keep(active)
+        if not lanes.size:
             break
         s_vec = ops.sub(ops.matmul(a, v), ops.mul(u, alpha))
         beta = ops.norm_cols(s_vec)
         # A zero norm means the vector itself is all zeros, so the guarded
         # division below already yields the zero vector on breakdown lanes.
-        u_new = ops.div(s_vec, _safe(beta, ops))
-        t_vec = ops.sub(ops.matmul(at, u_new), ops.mul(v, beta))
-        alpha_new = ops.norm_cols(t_vec)
-        v_new = ops.div(t_vec, _safe(alpha_new, ops))
+        u = ops.div(s_vec, beta)
+        t_vec = ops.sub(ops.matmul(at, u), ops.mul(v, beta))
+        alpha = ops.norm_cols(t_vec)
+        v = ops.div(t_vec, alpha)
 
         c, s, rho_new = _sym_cols(ops, alphabar, beta)
-        alphabar_new = ops.mul(c, alpha_new)
-        theta = ops.mul(s, alpha_new)
-        cbar_new, sbar_new, rhobar_new = _sym_cols(ops, ops.mul(cbar, rho_new), theta)
-        zeta = ops.mul(cbar_new, zetabar)
-        zetabar_new = ops.neg(ops.mul(sbar_new, zetabar))
+        alphabar = ops.mul(c, alpha)
+        theta = ops.mul(s, alpha)
+        cbar, sbar_new, rhobar_new = _sym_cols(ops, ops.mul(cbar, rho_new), theta)
+        zeta = ops.mul(cbar, zetabar)
+        zetabar = ops.neg(ops.mul(sbar_new, zetabar))
 
         den_prev = ops.mul(rho, rhobar)
         den_cur = ops.mul(rho_new, rhobar_new)
-        # Quotient denominators that are (or round to) zero cannot be
-        # completed at all: freeze those lanes without applying this
-        # iteration.
-        commit = active & (den_prev != 0) & (den_cur != 0) & (rho_new != 0)
-        coef_hbar = ops.div(ops.mul(ops.mul(sbar, rho_new), rho_new), _safe(den_prev, ops))
-        hbar_new = ops.sub(h, ops.mul(hbar, coef_hbar))
-        coef_x = ops.div(zeta, _safe(den_cur, ops))
-        x_new = ops.add(x, ops.mul(hbar_new, coef_x))
-        coef_h = ops.div(theta, _safe(rho_new, ops))
-        h_new = ops.sub(v_new, ops.mul(h, coef_h))
-
-        row_commit = commit[None, :]
-        u = np.where(row_commit, u_new, u)
-        v = np.where(row_commit, v_new, v)
-        h = np.where(row_commit, h_new, h)
-        hbar = np.where(row_commit, hbar_new, hbar)
-        x = np.where(row_commit, x_new, x)
-        alpha = np.where(commit, alpha_new, alpha)
-        alphabar = np.where(commit, alphabar_new, alphabar)
-        zetabar = np.where(commit, zetabar_new, zetabar)
-        rho = np.where(commit, rho_new, rho)
-        rhobar = np.where(commit, rhobar_new, rhobar)
-        cbar = np.where(commit, cbar_new, cbar)
-        sbar = np.where(commit, sbar_new, sbar)
+        # A lane whose quotient denominators are (or round to) zero cannot
+        # complete this iteration: it keeps its iterate and leaves.
+        commit = (den_prev != 0) & (den_cur != 0) & (rho_new != 0)
+        coef_hbar = ops.div(ops.mul(ops.mul(sbar, rho_new), rho_new), den_prev)
+        hbar = ops.sub(h, ops.mul(hbar, coef_hbar))
+        coef_x = ops.div(zeta, den_cur)
+        x = np.where(commit, ops.add(x, ops.mul(hbar, coef_x)), x)
+        coef_h = ops.div(theta, rho_new)
+        h = ops.sub(v, ops.mul(h, coef_h))
+        rho, rhobar, sbar = rho_new, rhobar_new, sbar_new
         # An exhausted lane (zero beta or alpha) keeps this iteration's
         # update -- the rotation already folded in the final step -- and
-        # then freezes.
-        active = commit & (beta != 0) & (alpha_new != 0)
-    return x
+        # then leaves.
+        active = commit & (beta != 0) & (alpha != 0)
+    out[:, lanes] = x
+    return out
 
 
 def lsmr_solve(a: np.ndarray, b: np.ndarray, iters: int | None = None) -> np.ndarray:
     """Approximate ``argmin_x ||a x - b||_2`` by running the bidiagonalization
-    recurrences for exactly ``iters`` iterations (default ``min(m, n)``).
+    recurrences for exactly ``iters`` iterations (default ``min(m, n)``): a
+    one-column ``lsmr_solve_multi`` job.
 
     A zero right-hand side returns the zero vector; an exactly zero alpha or
     beta mid-loop (an exhausted Krylov space) stops early with the current
     iterate.
     """
-    m, n = a.shape
-    if b.shape != (m,):
+    if b.shape != (a.shape[0],):
         raise ValueError(f"shape mismatch: a is {a.shape}, b is {b.shape}")
-    if iters is None:
-        iters = min(m, n)
-    if iters < 1:
-        raise ValueError("iters must be at least 1")
-    at = np.ascontiguousarray(a.T)
-    return _solve_block(_RealOps(), a, at, b[:, None], iters)[:, 0]
+    return lsmr_solve_multi(LsmrJob.full(a, b[:, None], iters))[:, 0]
 
 
 def lsmr_solve_fixed(
@@ -337,8 +332,8 @@ class LsmrJob:
             raise ValueError(f"row mismatch: a is {a_shape}, b is {b_shape}")
         if isinstance(self.a, FixedMatrix) != isinstance(self.b, FixedMatrix):
             raise ValueError("a and b must both be real or both fixed")
-        if isinstance(self.a, FixedMatrix) and self.a.fmt != self.b.fmt:
-            raise ValueError(f"format mismatch: {self.a.fmt} vs {self.b.fmt}")
+        if isinstance(self.a, FixedMatrix):
+            _check_fmt(self.a, self.b)
         if self.col_start < 0 or self.col_start + self.col_count > b_shape[1]:
             raise ValueError(
                 f"column range [{self.col_start}, {self.col_start + self.col_count}) "
@@ -383,13 +378,14 @@ def lsmr_solve_multi(
 ) -> np.ndarray | FixedMatrix:
     """Solve the job's column range as one block.
 
-    Column ``j`` of the result equals a standalone solve against ``b[:, j]``,
-    so splitting a solve into jobs over disjoint column ranges never changes
-    values.  For stochastic rounding each absolute column index draws from
-    its own stream, so results stay identical for every split.  For an
-    ``m x n`` system each column draws ``n + 1`` uniforms before the loop and
-    exactly ``2m + 5n + 11`` per iteration, so the streams are drawn in those
-    blocks and end just past the uniforms the solve used.
+    Column ``j`` of the result, its saturation count and its stream position
+    equal those of a standalone solve against ``b[:, j]``, so splitting a
+    solve into jobs over disjoint column ranges never changes them.  For
+    stochastic rounding each absolute column index draws from its own
+    stream.  For an ``m x n`` system each column draws ``n + 1`` uniforms
+    before the loop and exactly ``2m + 5n + 11`` per iteration it runs, so
+    the streams are drawn in those blocks and end just past the uniforms the
+    column used.
     """
     cols = slice(job.col_start, job.col_start + job.col_count)
     if not isinstance(job.a, FixedMatrix):

@@ -16,6 +16,7 @@ from .fixedpoint import (
     FixedWord,
     RoundingMode,
     SaturationStats,
+    _check_fmt,
     cast_wide_array,
     cast_wide_simple_array,
     convert_array,
@@ -84,12 +85,6 @@ def dequantize_matrix(f: FixedMatrix) -> np.ndarray:
 
 # -- fixed kernels -----------------------------------------------------------
 
-def _check_like(a: FixedMatrix, b: FixedMatrix) -> FixedFormat:
-    if a.fmt != b.fmt:
-        raise ValueError(f"format mismatch: {a.fmt} vs {b.fmt}")
-    return a.fmt
-
-
 def accumulate_product_wide(
     a: np.ndarray,
     b: np.ndarray,
@@ -129,7 +124,7 @@ def mat_mul_fixed(
     stats: SaturationStats | None = None,
 ) -> FixedMatrix:
     """Matrix product with exactly one rounding per output cell."""
-    fmt = _check_like(a, b)
+    fmt = _check_fmt(a, b)
     if a.cols != b.rows:
         raise ValueError(f"inner dimensions differ: {a.shape} x {b.shape}")
     acc = accumulate_product_wide(a.data, b.data, fmt, stats)
@@ -199,7 +194,7 @@ def norm_fixed(
 def add_fixed(
     a: FixedMatrix, b: FixedMatrix, stats: SaturationStats | None = None
 ) -> FixedMatrix:
-    fmt = _check_like(a, b)
+    fmt = _check_fmt(a, b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return FixedMatrix(cast_wide_simple_array(a.data + b.data, fmt, stats), fmt)
@@ -208,7 +203,7 @@ def add_fixed(
 def sub_fixed(
     a: FixedMatrix, b: FixedMatrix, stats: SaturationStats | None = None
 ) -> FixedMatrix:
-    fmt = _check_like(a, b)
+    fmt = _check_fmt(a, b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return FixedMatrix(cast_wide_simple_array(a.data - b.data, fmt, stats), fmt)
@@ -222,10 +217,9 @@ def scale_fixed(
     stats: SaturationStats | None = None,
 ) -> FixedMatrix:
     """Cellwise multiplication by a scalar word."""
-    if m.fmt != s.fmt:
-        raise ValueError(f"format mismatch: {m.fmt} vs {s.fmt}")
+    fmt = _check_fmt(m, s)
     wide = m.data * np.int64(s.rep)
-    return FixedMatrix(cast_wide_array(wide, m.fmt, mode, rng, stats=stats), m.fmt)
+    return FixedMatrix(cast_wide_array(wide, fmt, mode, rng, stats=stats), fmt)
 
 
 def transpose_fixed(m: FixedMatrix) -> FixedMatrix:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admmlsmr.fixedpoint import FIXED16, FIXED32, RoundingMode, SaturationStats, make_stream
@@ -128,6 +128,13 @@ class TestFixedSolve:
             quantize_matrix(np.zeros((5, 1)), FIXED32),
         )
         assert not x.data.any()
+
+    def test_zero_denominator_keeps_iterate(self):
+        # In FIXED16, rho * rhobar rounds to zero in the first iteration, so
+        # the column cannot complete it and stops with its zero iterate.
+        a = FixedMatrix(np.array([[-14, -17]]), FIXED16)
+        b = FixedMatrix(np.array([[-24]]), FIXED16)
+        assert not lsmr_solve_fixed(a, b).data.any()
 
     def test_against_real_path(self):
         rng = np.random.default_rng(7)
@@ -360,36 +367,60 @@ class TestPartitionProperty:
     @settings(max_examples=60, deadline=None)
     @given(
         partitioned_systems(),
+        st.sampled_from([FIXED16, FIXED32]),
         st.sampled_from(list(RoundingMode)),
         st.sampled_from(SQRT_PATHS),
     )
-    def test_fixed32(self, system, mode, sqrt_path):
+    # A lane that stops beside a live one must take no more casts: here the
+    # first column stops after one iteration, and holding it in the block
+    # through the second would count one saturation more than solving it alone.
+    @example(
+        (np.array([[-32.0]]), np.array([[35.0, -4.0]]), [0, 2], 2),
+        FIXED16, RoundingMode.NEAREST, "float",
+    )
+    # ... and no more draws: the zero column stops before its first
+    # iteration and its stream must stay where solving it alone leaves it.
+    @example(
+        (
+            np.array([[1.0, 0.5], [0.25, -1.0], [0.5, 0.5]]),
+            np.array([[0.3, 0.0], [-0.7, 0.0], [0.2, 0.0]]),
+            [0, 2],
+            2,
+        ),
+        FIXED32, RoundingMode.STOCHASTIC, "float",
+    )
+    def test_fixed(self, system, fmt, mode, sqrt_path):
+        # Solutions, summed saturation counts and every column stream's
+        # next draw all equal those of the one-column solves.
         a, b, bounds, iters = system
-        af = quantize_matrix(a, FIXED32)
-        bf = quantize_matrix(b, FIXED32)
-
-        def factory(col):
-            return make_stream(3, 9, col)
-
+        af = quantize_matrix(a, fmt)
+        bf = quantize_matrix(b, fmt)
+        stochastic = mode is RoundingMode.STOCHASTIC
+        part_gens = [make_stream(3, 9, j) for j in range(bf.cols)]
+        single_gens = [make_stream(3, 9, j) for j in range(bf.cols)]
+        part_stats, single_stats = SaturationStats(), SaturationStats()
         parts = [
             lsmr_solve_multi(
                 LsmrJob(af, bf, lo, hi - lo, iters),
                 mode=mode,
-                stream_factory=factory,
+                stream_factory=part_gens.__getitem__,
                 sqrt_path=sqrt_path,
+                stats=part_stats,
             ).data
             for lo, hi in zip(bounds, bounds[1:])
         ]
-        stochastic = mode is RoundingMode.STOCHASTIC
         single = [
             lsmr_solve_fixed(
                 af,
-                FixedMatrix(bf.data[:, j : j + 1], FIXED32),
+                FixedMatrix(bf.data[:, j : j + 1], fmt),
                 iters,
                 mode=mode,
-                rng=factory(j) if stochastic else None,
+                rng=single_gens[j] if stochastic else None,
                 sqrt_path=sqrt_path,
+                stats=single_stats,
             ).data
             for j in range(bf.cols)
         ]
         assert np.array_equal(np.hstack(parts), np.hstack(single))
+        assert part_stats.events == single_stats.events
+        assert [g.random() for g in part_gens] == [g.random() for g in single_gens]

@@ -9,10 +9,16 @@ from hypothesis import strategies as st
 from admmlsmr.fixedpoint import (
     FIXED16,
     FIXED32,
+    FixedFormatError,
     RoundingMode,
     SaturationStats,
+    add_f,
+    divide_f,
     make_stream,
+    multiply_f,
+    sub_f,
 )
+from admmlsmr.lsmr import LsmrJob, sym_fixed
 from admmlsmr.matrix import (
     FixedMatrix,
     accumulate_product_wide,
@@ -287,3 +293,31 @@ class TestFixedElementwise:
         t = transpose_fixed(m)
         assert t.shape == (5, 2)
         assert np.array_equal(t.data.T, m.data)
+
+
+_W16, _W32 = FIXED16.word(FIXED16.one), FIXED32.word(FIXED32.one)
+_M16, _M32 = FixedMatrix.zeros(1, 1, FIXED16), FixedMatrix.zeros(1, 1, FIXED32)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: add_f(_W16, _W32),
+        lambda: sub_f(_W16, _W32),
+        lambda: multiply_f(_W16, _W32),
+        lambda: divide_f(_W16, _W32),
+        lambda: mat_mul_fixed(_M16, _M32),
+        lambda: dot_fixed(_M16, _M32),
+        lambda: add_fixed(_M16, _M32),
+        lambda: sub_fixed(_M16, _M32),
+        lambda: scale_fixed(_M16, _W32),
+        lambda: sym_fixed(_W16, _W32),
+        lambda: LsmrJob.full(_M16, _M32),
+    ],
+    ids=["add_f", "sub_f", "multiply_f", "divide_f", "mat_mul_fixed", "dot_fixed",
+         "add_fixed", "sub_fixed", "scale_fixed", "sym_fixed", "LsmrJob"],
+)
+def test_format_mismatch_raises_fixed_format_error(op):
+    # Every operation on operands of two formats fails the one shared check.
+    with pytest.raises(FixedFormatError, match="format mismatch"):
+        op()
