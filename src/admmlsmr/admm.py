@@ -5,7 +5,9 @@ activations are least-squares solves handled by the LSMR solver, the
 pre-activations have elementwise closed forms, and a running multiplier
 enforces the output constraint.  The two solver-backed procedures of a layer
 are independent of each other, and so is every column of a solve; the
-trainer runs each solve as column ranges, in order, on the calling thread.
+trainer runs each solve as one block of columns on the calling thread, except
+the output-layer weight solve, which it splits into at most ``workers``
+column ranges that run in order.
 
 The network state itself lives in doubles.  Fixed-point arithmetic, when
 selected, applies to the least-squares solves: each solve's inputs are
@@ -50,7 +52,9 @@ class NetworkConfig:
 
     ``layer_dims`` lists the feature count, each hidden width, and the output
     width; ``beta``/``gamma`` may be scalars (broadcast to every layer) or
-    per-layer sequences.
+    per-layer sequences.  ``workers`` only sets how many column ranges the
+    output-layer weight solve is split into (at most the output width); every
+    other solve is one block, and no split changes a bit of the result.
     """
 
     layer_dims: Sequence[int]
@@ -65,7 +69,11 @@ class NetworkConfig:
     sqrt_path: str = "float"
 
     def __post_init__(self) -> None:
-        dims = list(self.layer_dims)
+        dims = [_integer("layer width", d) for d in self.layer_dims]
+        self.iterations = _integer("iterations", self.iterations)
+        self.workers = _integer("workers", self.workers)
+        if self.lsmr_iterations is not None:
+            self.lsmr_iterations = _integer("lsmr_iterations", self.lsmr_iterations)
         if len(dims) < 3:
             raise ValueError("need at least input, one hidden and output widths")
         if any(d < 1 for d in dims):
@@ -115,6 +123,13 @@ class NetworkConfig:
         if self.arithmetic == "fixed32":
             return FIXED32
         return None
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; numpy integers pass, anything else fails."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -263,10 +278,10 @@ class SolveEngine:
     """Runs batched multi-column least-squares jobs for the trainer.
 
     Owns the quantize/dequantize hop for fixed arithmetic, per-job random
-    streams for stochastic rounding and the saturation count.  A solve is
-    split into column ranges that run in order on the calling thread; every
-    column's solve is independent of the others, so any split produces
-    identical state.
+    streams for stochastic rounding and the saturation count.  A solve runs
+    as one block, or as column ranges in order, on the calling thread; every
+    column's solve is independent of the others, so its result, saturation
+    count and stream position are those of a standalone one-column solve.
     """
 
     def __init__(self, cfg: NetworkConfig) -> None:
@@ -280,8 +295,9 @@ class SolveEngine:
         self._job_counter += 1
         return self._job_counter
 
-    def prepare(self, a: np.ndarray, b: np.ndarray, chunks: int):
-        """Split one solve of ``a X ~= b`` (all columns) into column ranges.
+    def prepare(self, a: np.ndarray, b: np.ndarray, chunks: int = 1):
+        """Split one solve of ``a X ~= b`` (all columns) into ``chunks`` column
+        ranges; the default is one block.
 
         Returns (tasks, collect, finish, prep_seconds): each task is a
         zero-argument callable that solves one range, ``collect`` stores a
@@ -351,7 +367,7 @@ class SolveEngine:
 
 
 def weight_update(
-    z_l: np.ndarray, x_prev: np.ndarray, engine: SolveEngine, chunks: int
+    z_l: np.ndarray, x_prev: np.ndarray, engine: SolveEngine, chunks: int = 1
 ) -> tuple[np.ndarray, float]:
     """Least-squares weights: solve x_prev^T W^T ~= z_l^T column by column."""
     t0 = time.perf_counter()
@@ -368,14 +384,13 @@ def activation_update(
     beta_next: float,
     gamma_l: float,
     engine: SolveEngine,
-    chunks: int,
 ) -> tuple[np.ndarray, float]:
     """Solve (gamma I + beta W^T W) x = gamma relu(z) + beta W^T z_next."""
     t0 = time.perf_counter()
     part1 = gamma_l * np.eye(w_next.shape[1]) + beta_next * (w_next.T @ w_next)
     part2 = gamma_l * relu(z_l) + beta_next * (w_next.T @ z_next)
     prep = time.perf_counter() - t0
-    solution, seconds = engine.run_wave(engine.prepare(part1, part2, chunks))
+    solution, seconds = engine.run_wave(engine.prepare(part1, part2))
     return solution, prep + seconds
 
 
@@ -429,7 +444,6 @@ def train(
     gammas = cfg.gammas()
     n_layers = cfg.layer_count
     engine = SolveEngine(cfg)
-    proc_chunks = max(1, cfg.workers // 2)
     wall_start = time.perf_counter()
 
     for _ in range(cfg.iterations):
@@ -437,11 +451,11 @@ def train(
         sat_before = engine.saturation.events
         for l in range(n_layers - 1):
             x_prev = state.x0 if l == 0 else state.x[l - 1]
-            state.weights[l], secs = weight_update(state.z[l], x_prev, engine, proc_chunks)
+            state.weights[l], secs = weight_update(state.z[l], x_prev, engine)
             timings.weight += secs
             state.x[l], secs = activation_update(
                 state.weights[l + 1], state.z[l + 1], state.z[l],
-                betas[l + 1], gammas[l], engine, proc_chunks,
+                betas[l + 1], gammas[l], engine,
             )
             timings.activation += secs
 

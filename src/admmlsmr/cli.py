@@ -72,7 +72,7 @@ def _add_run_flags(p: argparse.ArgumentParser, iters_default: int = 100) -> None
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1, help="column ranges per solve")
+    p.add_argument("--workers", type=int, default=1, help="ranges of the output weight solve")
     p.add_argument("--test-frac", type=float, default=0.2)
     p.add_argument("--subsample", type=int, default=None, help="rows kept before splitting")
     p.add_argument("--lsmr-iters", type=int, default=None, help="override min(m,n)")

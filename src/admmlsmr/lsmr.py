@@ -328,6 +328,8 @@ class LsmrJob:
     def __post_init__(self) -> None:
         a_shape = self.a.shape
         b_shape = self.b.shape
+        if len(a_shape) != 2 or len(b_shape) != 2:
+            raise ValueError(f"a and b must be 2-D, got shapes {a_shape} and {b_shape}")
         if a_shape[0] != b_shape[0]:
             raise ValueError(f"row mismatch: a is {a_shape}, b is {b_shape}")
         if isinstance(self.a, FixedMatrix) != isinstance(self.b, FixedMatrix):

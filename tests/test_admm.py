@@ -185,6 +185,19 @@ class TestInit:
         with pytest.raises(ValueError):
             NetworkConfig([4, 8, 3], lsmr_iterations=0)
         assert NetworkConfig([4, 8, 3], lsmr_iterations=1).lsmr_iterations == 1
+        for bad in (
+            dict(iterations=2.5), dict(workers=2.5), dict(lsmr_iterations=2.5),
+            dict(layer_dims=[4, 8.5, 3]), dict(iterations="2"),
+        ):
+            with pytest.raises(ValueError, match="integer"):
+                NetworkConfig(**{"layer_dims": [4, 8, 3], **bad})
+        cfg = NetworkConfig(
+            np.array([4, 8, 3]), iterations=np.int64(2), workers=np.int32(2),
+            lsmr_iterations=np.int64(3),
+        )
+        assert (cfg.layer_dims, cfg.iterations, cfg.workers, cfg.lsmr_iterations) == (
+            [4, 8, 3], 2, 2, 3
+        )
 
 
 def make_engine(workers=1, **kw):
@@ -199,13 +212,13 @@ class TestWeightUpdate:
         x_prev = rng.standard_normal((3, 40))  # full row rank
         z = w0 @ x_prev
         engine = make_engine()
-        w, _ = weight_update(z, x_prev, engine, chunks=1)
+        w, _ = weight_update(z, x_prev, engine)
         assert np.abs(w - w0).max() < 1e-6
 
     def test_zero_targets_give_zero_weights(self):
         rng = np.random.default_rng(11)
         engine = make_engine()
-        w, _ = weight_update(np.zeros((4, 20)), rng.standard_normal((3, 20)), engine, 1)
+        w, _ = weight_update(np.zeros((4, 20)), rng.standard_normal((3, 20)), engine)
         assert not w.any()
 
     def test_square_invertible_case(self):
@@ -214,7 +227,7 @@ class TestWeightUpdate:
         w0 = rng.uniform(-1, 1, (4, 6))
         z = w0 @ x_prev
         engine = make_engine()
-        w, _ = weight_update(z, x_prev, engine, 2)
+        w, _ = weight_update(z, x_prev, engine)
         want = z @ np.linalg.inv(x_prev)
         assert np.abs(w - want).max() < 1e-6
 
@@ -225,7 +238,7 @@ class TestActivationUpdate:
         z_l = rng.standard_normal((6, 15))
         engine = make_engine()
         x, _ = activation_update(
-            np.zeros((4, 6)), np.zeros((4, 15)), z_l, 1.0, 2.0, engine, 1
+            np.zeros((4, 6)), np.zeros((4, 15)), z_l, 1.0, 2.0, engine
         )
         assert np.abs(x - np.maximum(z_l, 0.0)).max() < 1e-9
 
@@ -235,7 +248,7 @@ class TestActivationUpdate:
         z_next = rng.standard_normal((5, 10))
         z_l = rng.standard_normal((6, 10))
         engine = make_engine()
-        x, _ = activation_update(w_next, z_next, z_l, 1.0, 1e6, engine, 1)
+        x, _ = activation_update(w_next, z_next, z_l, 1.0, 1e6, engine)
         assert np.abs(x - np.maximum(z_l, 0.0)).max() < 1e-3
 
     def test_matches_dense_solve(self):
@@ -245,7 +258,7 @@ class TestActivationUpdate:
         z_l = rng.standard_normal((6, 12))
         beta, gamma = 0.7, 1.3
         engine = make_engine()
-        x, _ = activation_update(w_next, z_next, z_l, beta, gamma, engine, 2)
+        x, _ = activation_update(w_next, z_next, z_l, beta, gamma, engine)
         part1 = gamma * np.eye(6) + beta * w_next.T @ w_next
         part2 = gamma * np.maximum(z_l, 0) + beta * w_next.T @ z_next
         assert np.abs(x - np.linalg.solve(part1, part2)).max() < 1e-6
@@ -399,7 +412,9 @@ class TestTrain:
         monkeypatch.setattr(admm, "lsmr_solve_multi", recording)
         ds = tiny_dataset(n=40)
         train(NetworkConfig([4, 6, 6, 3], iterations=2, seed=3, workers=workers), ds)
-        assert threads
+        # two hidden layers' weight and activation solves run as one block
+        # each; the output weight solve runs as min(workers, 3) column ranges
+        assert len(threads) == 2 * (4 + min(workers, 3))
         assert set(threads) == {threading.get_ident()}
 
     def test_output_width_must_match_classes(self):

@@ -316,6 +316,10 @@ class TestMulti:
             LsmrJob(a, b, 0, 1, 0)
         with pytest.raises(ValueError):  # a FIXED32 system, a FIXED16 right-hand side
             LsmrJob.full(quantize_matrix(a, FIXED32), quantize_matrix(b, FIXED16))
+        with pytest.raises(ValueError):  # a one-dimensional right-hand side
+            LsmrJob(a, np.zeros(4), 0, 1, 2)
+        with pytest.raises(ValueError):  # a one-dimensional system
+            LsmrJob(np.zeros(4), b, 0, 1, 2)
 
     def test_split_ranges(self):
         assert split_ranges(0, 8, 2) == [(0, 4), (4, 4)]
