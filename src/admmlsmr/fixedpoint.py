@@ -172,22 +172,25 @@ def convert_array(
     x = np.asarray(x, dtype=np.float64)
     if np.isnan(x).any():
         raise ValueError("cannot convert NaN")
-    _count_saturated(x, fmt.ubound_value, fmt.lbound_value, stats)
     # Clamp before scaling so inf and huge values never reach the int cast.
     # Scaling by a power of two is exact for in-range doubles, so floor and
     # the fractional remainder are computed without rounding error.  A
     # clamped cell is a bound's rep with a zero fraction, which no mode
     # rounds away from.
-    y = _clamp(x, fmt.lbound_value, fmt.ubound_value, np.empty_like(x))
-    y *= float(1 << fmt.fraction_length)
-    low = np.floor(y, out=np.empty_like(y))  # out= keeps a 0-d result an array
-    frac = y - low
+    y = np.empty_like(x)  # the out= arrays keep 0-d results arrays
+    if _count_saturated(x, fmt.ubound_value, fmt.lbound_value, stats):
+        x = _clamp(x, fmt.lbound_value, fmt.ubound_value, y)
+    np.multiply(x, float(1 << fmt.fraction_length), out=y)
+    low = np.floor(y, out=np.empty_like(y))
     rep = low.astype(np.int64)
+    if mode is RoundingMode.DOWN:
+        return rep
+    frac = np.subtract(y, low, out=y)
     if mode is RoundingMode.UP:
         rep += frac > 0.0
     elif mode is RoundingMode.NEAREST:
         rep += frac >= 0.5
-    elif mode is RoundingMode.STOCHASTIC:
+    else:
         rep += rng.random(x.shape) > 1.0 - frac
     return rep
 
@@ -282,11 +285,19 @@ class ColumnStreams:
 
 def _count_saturated(
     t: np.ndarray, hi: float, lo: float, stats: "SaturationStats | None"
-) -> None:
-    """Count the cells at or beyond ``hi`` and ``lo``; the full count runs
-    only when the extremes show there is one."""
-    if stats is not None and t.size and (t.max() >= hi or t.min() <= lo):
+) -> bool:
+    """Whether any cell of ``t`` is at or beyond ``hi`` or ``lo``.
+
+    Only the two extremes are computed when no cell is; otherwise the cells
+    at or beyond a bound are counted into ``stats``, if given.  A false
+    result means every cell lies strictly inside the bounds, so a clamp
+    would change nothing and the caller skips it.
+    """
+    if not t.size or (t.max() < hi and t.min() > lo):
+        return False
+    if stats is not None:
         stats.count(int(np.count_nonzero(t >= hi)) + int(np.count_nonzero(t <= lo)))
+    return True
 
 
 def _clamp(t: np.ndarray, lo: float, hi: float, out: np.ndarray) -> np.ndarray:
@@ -315,25 +326,24 @@ def cast_wide_array(
     if mode is RoundingMode.STOCHASTIC and rng is None and col_rngs is None:
         raise ValueError("stochastic rounding requires a random stream")
     fl = fmt.fraction_length
-    hi = fmt.ubound << fl
-    lo = fmt.lbound << fl
-    _count_saturated(t, hi, lo, stats)
+    saturated = _count_saturated(t, fmt.ubound << fl, fmt.lbound << fl, stats)
     rep = np.empty_like(t)  # the out= arrays keep 0-d results arrays
     if mode is RoundingMode.STOCHASTIC:
         # Round up when u > 1 - (discarded fraction); both sides are exact.
+        # A sum strictly inside the shifted bounds rounds into the bounds.
         keep = (t & ((1 << fl) - 1)) * -fmt.epsilon
         keep += 1.0
         u = rng.random(t.shape) if col_rngs is None else col_rngs.take(t.shape)
         np.right_shift(t, fl, out=rep)
         rep += u > keep
-        return _clamp(rep, fmt.lbound, fmt.ubound, rep)
-    _clamp(t, lo, hi, rep)
+        return _clamp(rep, fmt.lbound, fmt.ubound, rep) if saturated else rep
+    if saturated:
+        t = _clamp(t, fmt.lbound << fl, fmt.ubound << fl, rep)
     if mode is RoundingMode.UP:
-        rep += (1 << fl) - 1
+        t = np.add(t, (1 << fl) - 1, out=rep)
     elif mode is RoundingMode.NEAREST:
-        rep += 1 << (fl - 1)
-    rep >>= fl
-    return rep
+        t = np.add(t, 1 << (fl - 1), out=rep)
+    return np.right_shift(t, fl, out=rep)
 
 
 def cast_wide_simple_array(
@@ -341,9 +351,11 @@ def cast_wide_simple_array(
     fmt: FixedFormat,
     stats: "SaturationStats | None" = None,
 ) -> np.ndarray:
-    """Vectorised ``cast_wide_simple``."""
-    _count_saturated(t, fmt.ubound, fmt.lbound, stats)
-    return _clamp(t, fmt.lbound, fmt.ubound, np.empty_like(t))
+    """Vectorised ``cast_wide_simple``.  When every cell is already a rep of
+    the format, the result is ``t`` itself."""
+    if _count_saturated(t, fmt.ubound, fmt.lbound, stats):
+        return _clamp(t, fmt.lbound, fmt.ubound, np.empty_like(t))
+    return t
 
 
 def saturating_acc_add(
@@ -410,11 +422,27 @@ def multiply_f(
     return cast_wide(a.rep * b.rep, fmt, mode, rng)
 
 
+_FLOAT64_EXACT = 1 << 53  # every integer of smaller magnitude is a double
+
+
 def trunc_div_array(num: np.ndarray, den: np.ndarray | int) -> np.ndarray:
-    """C-style integer division: truncates toward zero."""
-    q = np.abs(num) // np.abs(den)
-    neg = (num < 0) != (np.asarray(den) < 0)
-    return np.where(neg, -q, q)
+    """C-style integer division: truncates toward zero.  ``den`` must be
+    non-zero, and ``|num| < 2**53`` or ``ValueError`` is raised.
+
+    The int64 result is ``trunc(float64(num) / float64(den))``, which is
+    exact.  ``num`` converts exactly, and so does ``den`` when
+    ``|den| < 2**53``.  An integer quotient then has magnitude at most
+    ``|num|``, so the correctly rounded division returns it exactly.  A
+    non-integer quotient lies at least ``1/|den|`` from every integer, while
+    the rounding error is at most ``|num|/|den| * 2**-53 < 1/|den|``, so the
+    rounded quotient stays strictly between the same two integers.  When
+    ``|den| >= 2**53 > |num|`` the quotient, exact or rounded, is below one
+    in magnitude and truncates to zero.  Word reps shifted by FL stay below
+    2**49 in FIXED32 and 2**25 in FIXED16.
+    """
+    if np.abs(num).max(initial=0) >= _FLOAT64_EXACT:
+        raise ValueError("a numerator of 2**53 or more is not exact in float64")
+    return np.asarray(num / den).astype(np.int64)
 
 
 def divide_f(a: FixedWord, b: FixedWord) -> FixedWord:

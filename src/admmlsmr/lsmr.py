@@ -27,7 +27,13 @@ from .fixedpoint import (
     integer_sqrt_array,
     trunc_div_array,
 )
-from .matrix import FixedMatrix, accumulate_product_wide, sum_squares_wide, transpose_fixed
+from .matrix import (
+    FixedMatrix,
+    PreparedOperand,
+    accumulate_product_wide,
+    sum_squares_wide,
+    transpose_fixed,
+)
 
 StreamFactory = Callable[[int], np.random.Generator]
 SQRT_PATHS = ("float", "integer")
@@ -127,8 +133,8 @@ class _FixedOps:
     def neg(self, a: np.ndarray) -> np.ndarray:
         return cast_wide_simple_array(-a, self.fmt, self.stats)
 
-    def matmul(self, a_reps: np.ndarray, b_reps: np.ndarray) -> np.ndarray:
-        return self.cast(accumulate_product_wide(a_reps, b_reps, self.fmt, self.stats))
+    def matmul(self, a: PreparedOperand, b_reps: np.ndarray) -> np.ndarray:
+        return self.cast(accumulate_product_wide(a, b_reps, self.fmt, self.stats))
 
     def norm_cols(self, reps: np.ndarray) -> np.ndarray:
         return self._sqrt_wide(sum_squares_wide(reps, self.fmt, self.stats))
@@ -197,7 +203,11 @@ def sym_fixed(
 # -- the recurrence --------------------------------------------------------------
 
 def _solve_block(
-    ops: Ops, a: np.ndarray, at: np.ndarray, b: np.ndarray, iters: int
+    ops: Ops,
+    a: np.ndarray | PreparedOperand,
+    at: np.ndarray | PreparedOperand,
+    b: np.ndarray,
+    iters: int,
 ) -> np.ndarray:
     """Run the solver recurrences on a block of right-hand-side columns.
 
@@ -326,10 +336,7 @@ class LsmrJob:
     iter_count: int
 
     def __post_init__(self) -> None:
-        a_shape = self.a.shape
-        b_shape = self.b.shape
-        if len(a_shape) != 2 or len(b_shape) != 2:
-            raise ValueError(f"a and b must be 2-D, got shapes {a_shape} and {b_shape}")
+        a_shape, b_shape = _check_2d(self.a, self.b)
         if a_shape[0] != b_shape[0]:
             raise ValueError(f"row mismatch: a is {a_shape}, b is {b_shape}")
         if isinstance(self.a, FixedMatrix) != isinstance(self.b, FixedMatrix):
@@ -351,10 +358,17 @@ class LsmrJob:
         b: np.ndarray | FixedMatrix,
         iter_count: int | None = None,
     ) -> "LsmrJob":
-        m, n = a.shape
+        (m, n), (_, p) = _check_2d(a, b)
         if iter_count is None:
             iter_count = min(m, n)
-        return cls(a, b, 0, b.shape[1], iter_count)
+        return cls(a, b, 0, p, iter_count)
+
+
+def _check_2d(a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The shapes of a job's system and right-hand side, which must be 2-D."""
+    if len(a.shape) != 2 or len(b.shape) != 2:
+        raise ValueError(f"a and b must be 2-D, got shapes {a.shape} and {b.shape}")
+    return a.shape, b.shape
 
 
 def split_ranges(start: int, count: int, parts: int) -> list[tuple[int, int]]:
@@ -387,7 +401,9 @@ def lsmr_solve_multi(
     stream.  For an ``m x n`` system each column draws ``n + 1`` uniforms
     before the loop and exactly ``2m + 5n + 11`` per iteration it runs, so
     the streams are drawn in those blocks and end just past the uniforms the
-    column used.
+    column used.  A fixed system and its transpose are prepared once per
+    solve (``PreparedOperand``), since retiring lanes only slice the
+    right-hand-side vectors.
     """
     cols = slice(job.col_start, job.col_start + job.col_count)
     if not isinstance(job.a, FixedMatrix):
@@ -401,6 +417,7 @@ def lsmr_solve_multi(
         gens = [stream_factory(j) for j in range(cols.start, cols.stop)]
         streams = ColumnStreams(gens, 2 * m + 5 * n + 11, first=n + 1)
     ops = _FixedOps(job.a.fmt, mode, streams, sqrt_path, stats)
-    at = transpose_fixed(job.a)
-    x = _solve_block(ops, job.a.data, at.data, job.b.data[:, cols], job.iter_count)
+    a = PreparedOperand(job.a.data)
+    at = PreparedOperand(transpose_fixed(job.a).data)
+    x = _solve_block(ops, a, at, job.b.data[:, cols], job.iter_count)
     return FixedMatrix(x, job.a.fmt)

@@ -85,8 +85,24 @@ def dequantize_matrix(f: FixedMatrix) -> np.ndarray:
 
 # -- fixed kernels -----------------------------------------------------------
 
+class PreparedOperand:
+    """A constant rep matrix prepared once for many wide products: its
+    float64 copy and its largest rep magnitude."""
+
+    __slots__ = ("reps", "floats", "max_abs")
+
+    def __init__(self, reps: np.ndarray) -> None:
+        self.reps = reps
+        self.floats = reps.astype(np.float64)
+        self.max_abs = int(np.abs(reps).max(initial=0))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.reps.shape
+
+
 def accumulate_product_wide(
-    a: np.ndarray,
+    a: PreparedOperand | np.ndarray,
     b: np.ndarray,
     fmt: FixedFormat,
     stats: SaturationStats | None = None,
@@ -103,15 +119,20 @@ def accumulate_product_wide(
     a k-loop accumulates in a fixed per-cell order with a saturation check
     after every addition.  Either way the result for a given output column
     never depends on which other columns are present.
+
+    ``a`` is a rep array or, when the same matrix meets many ``b``, a
+    ``PreparedOperand`` whose float64 copy and ``max|a|`` are reused.
     """
+    if not isinstance(a, PreparedOperand):
+        a = PreparedOperand(a)
     m, n = a.shape
     p = b.shape[1]
-    bound = n * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
+    bound = n * a.max_abs * int(np.abs(b).max(initial=0))
     if bound <= min(1 << 53, fmt.wide_ubound):
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        return (a.floats @ b.astype(np.float64)).astype(np.int64)
     acc = np.zeros((m, p), dtype=np.int64)
     for k in range(n):
-        term = a[:, k : k + 1] * b[k : k + 1, :]
+        term = a.reps[:, k : k + 1] * b[k : k + 1, :]
         acc = saturating_acc_add(acc, term, fmt, stats)
     return acc
 

@@ -56,6 +56,12 @@ def oracle_cast_wide(t: int, fmt: FixedFormat, mode: RoundingMode) -> int:
     raise ValueError("stochastic has no deterministic oracle")
 
 
+def oracle_trunc_div(num: int, den: int) -> int:
+    """Integer quotient truncated toward zero, as C divides, in Python ints."""
+    q = abs(num) // abs(den)
+    return q if (num < 0) == (den < 0) else -q
+
+
 def oracle_mac(
     a: np.ndarray, b: np.ndarray, fmt: FixedFormat
 ) -> tuple[list[list[int]], int]:

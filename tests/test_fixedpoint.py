@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,9 +36,16 @@ from admmlsmr.fixedpoint import (
     neg_f,
     saturating_acc_add,
     sub_f,
+    trunc_div_array,
     value_of,
 )
-from conftest import oracle_cast_wide, oracle_convert, oracle_stochastic_cast
+from admmlsmr.lsmr import _FixedOps
+from conftest import (
+    oracle_cast_wide,
+    oracle_convert,
+    oracle_stochastic_cast,
+    oracle_trunc_div,
+)
 
 ALL_MODES = list(RoundingMode)
 INT64_MIN = -(1 << 63)
@@ -80,6 +88,67 @@ def wide_operands(draw):
     fmt = draw(st.sampled_from([FIXED16, FIXED32]))
     shape = draw(st.sampled_from([(), (0,), (1,), (7,), (0, 3), (3, 4)]))
     return fmt, wide_array(draw, fmt, shape)
+
+
+EXACT = 1 << 53  # trunc_div_array's bound on numerator magnitudes
+SHAPES = [(), (0,), (1,), (7,), (0, 3), (3, 4)]
+
+
+def int_array(cells: list[int], shape: tuple[int, ...]) -> np.ndarray:
+    return np.array(cells, dtype=np.int64).reshape(shape)
+
+
+def denominators(fmt):
+    """Word reps used as divisors: one, the bounds, zero, or any rep."""
+    edges = [1, -1, fmt.ubound, -fmt.ubound, fmt.lbound, 0]
+    return st.sampled_from(edges) | st.integers(fmt.lbound, fmt.ubound)
+
+
+def near_multiple(draw, den, limit):
+    """``k * den + d`` with ``d`` in {-1, 0, 1} and magnitude below ``limit``."""
+    k_max = (limit - 2) // max(abs(den), 1)
+    k = draw(st.sampled_from([0, min(1, k_max), k_max, -k_max]) | st.integers(-k_max, k_max))
+    return k * den + draw(st.sampled_from([-1, 0, 1]))
+
+
+@st.composite
+def raw_divisions(draw):
+    """``trunc_div_array`` operands: numerators anywhere below 2**53 in
+    magnitude, rep numerators shifted by FL, and near multiples of the
+    denominator; denominators are non-zero word reps or huge values."""
+    fmt = draw(st.sampled_from([FIXED16, FIXED32]))
+    shape = draw(st.sampled_from(SHAPES))
+    nums, dens = [], []
+    for _ in range(math.prod(shape)):
+        den = draw(denominators(fmt).filter(bool) | st.sampled_from([EXACT, -EXACT, 1 << 62]))
+        num = draw(st.one_of(
+            st.sampled_from([EXACT - 1, 1 - EXACT, 0]),
+            st.integers(1 - EXACT, EXACT - 1),
+            st.integers(fmt.lbound, fmt.ubound).map(lambda r: r << fmt.fraction_length),
+            st.just(None),
+        ))
+        nums.append(near_multiple(draw, den, EXACT) if num is None else num)
+        dens.append(den)
+    return fmt, int_array(nums, shape), int_array(dens, shape)
+
+
+@st.composite
+def word_divisions(draw):
+    """Rep numerators and denominators of one format, shaped alike; a
+    numerator is anything in range, a bound, or a near multiple of its
+    denominator."""
+    fmt = draw(st.sampled_from([FIXED16, FIXED32]))
+    shape = draw(st.sampled_from(SHAPES))
+    nums, dens = [], []
+    for _ in range(math.prod(shape)):
+        den = draw(denominators(fmt))
+        edges = st.sampled_from([fmt.lbound, fmt.ubound, 0, None])
+        num = draw(edges | st.integers(fmt.lbound, fmt.ubound))
+        if num is None:
+            num = near_multiple(draw, den, fmt.ubound + 1)
+        nums.append(num)
+        dens.append(den)
+    return fmt, int_array(nums, shape), int_array(dens, shape)
 
 
 @st.composite
@@ -315,6 +384,111 @@ class TestCastWide:
         assert stats.events == sum(v >= fmt.ubound or v <= fmt.lbound for v in cells)
 
 
+def oracle_stochastic_convert(x: np.ndarray, fmt, u: np.ndarray) -> list[int]:
+    """Stochastic conversion of each cell with its uniform, in exact
+    rationals: saturated cells take the bound, others round up when
+    ``u > 1 - frac``."""
+    out = []
+    for v, r in zip(x.ravel().tolist(), u.ravel().tolist()):
+        if v >= fmt.ubound_value or v <= fmt.lbound_value:
+            out.append(oracle_convert(v, fmt, RoundingMode.NEAREST))
+            continue
+        scaled = Fraction(v) * fmt.one
+        low = math.floor(scaled)
+        out.append(low + (Fraction(r) > 1 - (scaled - low)))
+    return out
+
+
+STEPS = ("inside", "on", "beyond", "far")
+
+
+def outward(step: str, unit: int) -> int:
+    """Offset past a bound: one step inside, on it, one step or two format
+    units beyond."""
+    return {"inside": -1, "on": 0, "beyond": 1, "far": 2 * unit}[step]
+
+
+@pytest.mark.parametrize("fmt", [FIXED16, FIXED32], ids=["fixed16", "fixed32"])
+@pytest.mark.parametrize(
+    "top, bottom",
+    [(s, s) for s in STEPS]
+    + [(s, "inside") for s in STEPS[1:]]
+    + [("inside", s) for s in STEPS[1:]],
+)
+class TestExtremesAtTheBounds:
+    """Arrays whose largest and smallest cells sit one step inside, exactly
+    on, one step beyond or far beyond the upper and lower bounds, the rest
+    strictly inside: a cell at or beyond a bound saturates and is counted,
+    and the clamp, which runs only then, must leave no trace on the result
+    or the input."""
+
+    P = 3
+
+    def cells(self, hi, lo, top, bottom, unit, seed):
+        t = np.random.default_rng(seed).integers(lo + 1, hi, (4, self.P))
+        t[0, 0] = hi + outward(top, unit)
+        t[3, self.P - 1] = lo - outward(bottom, unit)
+        return t
+
+    @staticmethod
+    def runs(modes=(None,)):
+        """Each kernel runs in each mode once without and once with a fresh
+        counter."""
+        for mode in modes:
+            yield mode, None
+            yield mode, SaturationStats()
+
+    def test_cast_wide_array(self, fmt, top, bottom):
+        fl = fmt.fraction_length
+        hi, lo = fmt.ubound << fl, fmt.lbound << fl
+        t = self.cells(hi, lo, top, bottom, 1 << fl, 31)
+        saturated = int(np.count_nonzero((t >= hi) | (t <= lo)))
+        before = t.copy()
+        for mode, stats in self.runs(ALL_MODES):
+            if mode is RoundingMode.STOCHASTIC:
+                gens = [make_stream(5, j) for j in range(self.P)]
+                streams = ColumnStreams(gens, t.shape[0])
+                got = cast_wide_array(t, fmt, mode, col_rngs=streams, stats=stats)
+                want = oracle_stochastic_cast(t, fmt, [make_stream(5, j) for j in range(self.P)])
+            else:
+                got = cast_wide_array(t, fmt, mode, stats=stats)
+                want = [[oracle_cast_wide(int(v), fmt, mode) for v in row] for row in t]
+            assert got.tolist() == np.asarray(want).tolist()
+            assert stats is None or stats.events == saturated
+            assert np.array_equal(t, before)
+
+    def test_cast_wide_simple_array(self, fmt, top, bottom):
+        t = self.cells(fmt.ubound, fmt.lbound, top, bottom, 1, 32)
+        before = t.copy()
+        for _, stats in self.runs():
+            got = cast_wide_simple_array(t, fmt, stats)
+            assert got.tolist() == np.clip(before, fmt.lbound, fmt.ubound).tolist()
+            assert stats is None or stats.events == int(
+                np.count_nonzero((before >= fmt.ubound) | (before <= fmt.lbound)))
+            assert np.array_equal(t, before)
+
+    def test_convert_array(self, fmt, top, bottom):
+        hi, lo = fmt.ubound_value, fmt.lbound_value
+        # A step is one ulp of the double; far is two epsilons.
+        x = np.random.default_rng(33).uniform(lo, hi, (4, self.P))
+        x[0, 0] = {"inside": np.nextafter(hi, 0.0), "on": hi,
+                   "beyond": np.nextafter(hi, math.inf), "far": hi + 2 * fmt.epsilon}[top]
+        x[3, self.P - 1] = {"inside": np.nextafter(lo, 0.0), "on": lo,
+                            "beyond": np.nextafter(lo, -math.inf),
+                            "far": lo - 2 * fmt.epsilon}[bottom]
+        saturated = int(np.count_nonzero((x >= hi) | (x <= lo)))
+        before = x.copy()
+        for mode, stats in self.runs(ALL_MODES):
+            got = convert_array(x, fmt, mode, rng_for(mode, 7), stats)
+            if mode is RoundingMode.STOCHASTIC:
+                want = oracle_stochastic_convert(x, fmt, rng_for(mode, 7).random(x.shape))
+            else:
+                want = [oracle_convert(float(v), fmt, mode) for v in x.ravel()]
+            assert got.ravel().tolist() == want
+            assert stats is None or stats.events == saturated
+            assert np.array_equal(x, before)
+
+
 class TestArithmetic:
     def test_add_trivial(self):
         one = FIXED32.word(FIXED32.one)
@@ -395,6 +569,50 @@ class TestArithmetic:
                 clamped = min(max(real, fmt.lbound_value), fmt.ubound_value)
                 assert abs(got - clamped) <= fmt.epsilon
                 n += 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_divisions())
+    @example((FIXED32, np.array([EXACT - 1, 1 - EXACT, 3 * FIXED32.ubound + 1]),
+              np.array([3, -FIXED32.ubound, FIXED32.ubound])))
+    @example((FIXED32, np.array([-7, 7, -(EXACT - 1)]), np.array([2, -2, FIXED32.lbound])))
+    def test_trunc_div_matches_exact_oracle(self, operands):
+        _, num, den = operands
+        got = trunc_div_array(num, den)
+        assert got.dtype == np.int64 and got.shape == num.shape
+        want = [oracle_trunc_div(int(n), int(d)) for n, d in zip(num.ravel(), den.ravel())]
+        assert got.ravel().tolist() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(word_divisions())
+    @example((FIXED32, np.array([FIXED32.ubound, FIXED32.lbound, 5, -9]),
+              np.array([FIXED32.lbound, -1, 0, FIXED32.ubound])))
+    @example((FIXED16, np.array(FIXED16.lbound), np.array(FIXED16.ubound)))
+    def test_fixed_division_matches_exact_oracle(self, operands):
+        # Shift by FL, divide truncating, clamp to the word; a cell at or
+        # beyond a bound is one saturation, and ops read a zero divisor as
+        # the word one.
+        fmt, num, den = operands
+        fl = fmt.fraction_length
+        quotients = [oracle_trunc_div(int(n) << fl, int(d) or fmt.one)
+                     for n, d in zip(num.ravel(), den.ravel())]
+        want = [min(max(q, fmt.lbound), fmt.ubound) for q in quotients]
+        stats = SaturationStats()
+        ops = _FixedOps(fmt, RoundingMode.NEAREST, None, "float", stats)
+        got = ops.div(num, den)
+        assert got.shape == num.shape
+        assert got.ravel().tolist() == want
+        assert stats.events == sum(q >= fmt.ubound or q <= fmt.lbound for q in quotients)
+        for n, d, w in zip(num.ravel(), den.ravel(), want):
+            if d:
+                assert divide_f(fmt.word(int(n)), fmt.word(int(d))).rep == w
+
+    @pytest.mark.parametrize(
+        "num", [EXACT, -EXACT, [0, EXACT], [[1, 2], [-EXACT, 3]], INT64_MAX],
+        ids=["2^53", "-2^53", "row", "matrix", "int64-max"],
+    )
+    def test_trunc_div_rejects_inexact_numerators(self, num):
+        with pytest.raises(ValueError):
+            trunc_div_array(np.array(num, dtype=np.int64), 3)
 
     def test_format_mismatch_rejected(self):
         with pytest.raises(FixedFormatError):

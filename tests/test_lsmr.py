@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from admmlsmr import lsmr as lsmr_module
 from admmlsmr.fixedpoint import FIXED16, FIXED32, RoundingMode, SaturationStats, make_stream
 from admmlsmr.lsmr import (
     SQRT_PATHS,
@@ -201,6 +202,34 @@ class TestFixedOps:
         assert stats.events == 1
 
 
+class TestKernelLookups:
+    # Calls per fixed solve of a 9 x 4 system, 3 columns, 4 iterations.
+    EXPECTED = {
+        "accumulate_product_wide": 9,
+        "trunc_div_array": 46,
+        "cast_wide_array": 74,
+        "cast_wide_simple_array": 70,
+        "sum_squares_wide": 10,
+        "float_sqrt_array": 18,
+    }
+
+    def test_solve_calls_kernels_through_the_lsmr_module(self, monkeypatch):
+        # Per-kernel timings wrap these names where lsmr looks them up; a
+        # solve that computed a kernel inline would report it as never called.
+        counts = dict.fromkeys(self.EXPECTED, 0)
+        for name in self.EXPECTED:
+            def counted(*args, _fn=getattr(lsmr_module, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(lsmr_module, name, counted)
+        rng = np.random.default_rng(18)
+        a = quantize_matrix(conditioned_system(rng, 9, 4, 4.0), FIXED32)
+        b = quantize_matrix(rng.uniform(-1, 1, (9, 3)), FIXED32)
+        lsmr_solve_multi(LsmrJob.full(a, b), RoundingMode.NEAREST, stats=SaturationStats())
+        assert counts == self.EXPECTED
+
+
 class TestMulti:
     def test_single_column_reduces_to_solve(self):
         rng = np.random.default_rng(9)
@@ -320,6 +349,10 @@ class TestMulti:
             LsmrJob(a, np.zeros(4), 0, 1, 2)
         with pytest.raises(ValueError):  # a one-dimensional system
             LsmrJob(np.zeros(4), b, 0, 1, 2)
+        with pytest.raises(ValueError, match="must be 2-D"):
+            LsmrJob.full(a, np.zeros(4))
+        with pytest.raises(ValueError, match="must be 2-D"):
+            LsmrJob.full(np.zeros(4), b)
 
     def test_split_ranges(self):
         assert split_ranges(0, 8, 2) == [(0, 4), (4, 4)]
