@@ -9,39 +9,22 @@ from .fixedpoint import (
     FixedWord,
     RoundingMode,
     SaturationStats,
-    add_f,
-    cast_wide,
-    cast_wide_simple,
     convert,
-    divide_f,
-    float_sqrt,
-    integer_sqrt,
     make_stream,
-    multiply_f,
-    neg_f,
-    sub_f,
     value_of,
 )
 from .matrix import (
     FixedMatrix,
-    add_fixed,
     dequantize_matrix,
-    dot_fixed,
     mat_mul_fixed,
-    norm_fixed,
     quantize_matrix,
-    scale_fixed,
-    sub_fixed,
     transpose_fixed,
 )
 from .lsmr import (
     LsmrJob,
     lsmr_solve,
-    lsmr_solve_fixed,
     lsmr_solve_multi,
     split_ranges,
-    sym,
-    sym_fixed,
 )
 from .admm import (
     IterationTimings,

@@ -1,10 +1,13 @@
-"""Bit-exact fixed-point scalars: formats, rounding conversions, saturating ops.
+"""Bit-exact fixed-point array kernels: formats, rounding conversions,
+narrowing casts, truncating division and square roots.
 
 A value is stored as a two's-complement integer representation (a "rep"); a rep
 ``r`` in a format with ``FL`` fraction bits denotes the real number
-``r * 2**-FL``.  Intermediate products and sums live in a "wide" container of
-twice the word length.  Every operation saturates to the format bounds instead
-of wrapping.
+``r * 2**-FL``.  The kernels work cellwise on int64 rep arrays of any shape,
+0-d included.  Intermediate products and sums live in a "wide" container of
+twice the word length.  Every kernel saturates to the format bounds instead
+of wrapping.  ``convert`` is the one scalar entry point: it quantizes one real
+number into a ``FixedWord``.
 """
 from __future__ import annotations
 
@@ -121,7 +124,7 @@ class FixedWord(NamedTuple):
 
 def value_of(w: FixedWord) -> float:
     """Exact real value of a word: rep * 2**-FL."""
-    return w.rep * w.fmt.epsilon
+    return w.value
 
 
 def make_stream(seed: int, *key: int) -> np.random.Generator:
@@ -134,7 +137,9 @@ def make_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _require_rng(mode: RoundingMode, rng: np.random.Generator | None) -> None:
+def _require_rng(
+    mode: RoundingMode, rng: "np.random.Generator | ColumnStreams | None"
+) -> None:
     if mode is RoundingMode.STOCHASTIC and rng is None:
         raise ValueError("stochastic rounding requires a random stream")
 
@@ -196,39 +201,6 @@ def convert_array(
 
 
 # -- wide-container casts ----------------------------------------------------
-
-def _wide(t: int) -> np.ndarray:
-    """A wide scalar as a 0-d int64 array; values beyond int64 raise
-    ``OverflowError``."""
-    return np.asarray(t, dtype=np.int64)
-
-
-def cast_wide_simple(t: int, fmt: FixedFormat) -> FixedWord:
-    """Narrow an int64 wide sum (format-resolution fraction bits) back to a
-    word.
-
-    Saturates out-of-range sums; in-range sums pass through unchanged.  This
-    is the one-element case of ``cast_wide_simple_array``.
-    """
-    return FixedWord(int(cast_wide_simple_array(_wide(t), fmt)), fmt)
-
-
-def cast_wide(
-    t: int,
-    fmt: FixedFormat,
-    mode: RoundingMode = RoundingMode.NEAREST,
-    rng: np.random.Generator | None = None,
-) -> FixedWord:
-    """Narrow an int64 wide product (2*FL fraction bits) back to a word.
-
-    The wide value is first checked against the format bounds shifted up by
-    FL; otherwise the low FL bits are dropped with the requested rounding
-    applied to the discarded fraction.  The shift is arithmetic, so
-    truncation is toward -inf on the rep.  This is the one-element case of
-    ``cast_wide_array``.
-    """
-    return FixedWord(int(cast_wide_array(_wide(t), fmt, mode, rng)), fmt)
-
 
 class ColumnStreams:
     """One counter-based stream per column, drawn in exact blocks.
@@ -315,16 +287,20 @@ def cast_wide_array(
     col_rngs: ColumnStreams | None = None,
     stats: "SaturationStats | None" = None,
 ) -> np.ndarray:
-    """Vectorised ``cast_wide`` over an int64 array of wide products.
+    """Narrow an int64 array of wide products (2*FL fraction bits) back to
+    word reps.
 
-    Down, up and nearest add a bias of 0, ``2**FL - 1`` or ``2**(FL-1)`` to
-    the sum clamped at the shifted bounds, then shift: the clamp saturates,
-    and the bias cannot overflow a clamped sum.  Stochastic rounding draws
-    exactly one uniform per cell, saturated or not, from ``rng`` or from
-    column ``j``'s stream in ``col_rngs``, and clamps the rounded rep.
+    A cell at or beyond the format bounds shifted up by FL saturates to the
+    bound; otherwise the low FL bits are dropped with the requested rounding
+    applied to the discarded fraction.  The shift is arithmetic, so
+    truncation is toward -inf on the rep.  Down, up and nearest add a bias
+    of 0, ``2**FL - 1`` or ``2**(FL-1)`` to the sum clamped at the shifted
+    bounds, then shift: the clamp saturates, and the bias cannot overflow a
+    clamped sum.  Stochastic rounding draws exactly one uniform per cell,
+    saturated or not, from ``rng`` or from column ``j``'s stream in
+    ``col_rngs``, and clamps the rounded rep.
     """
-    if mode is RoundingMode.STOCHASTIC and rng is None and col_rngs is None:
-        raise ValueError("stochastic rounding requires a random stream")
+    _require_rng(mode, col_rngs if rng is None else rng)
     fl = fmt.fraction_length
     saturated = _count_saturated(t, fmt.ubound << fl, fmt.lbound << fl, stats)
     rep = np.empty_like(t)  # the out= arrays keep 0-d results arrays
@@ -351,8 +327,13 @@ def cast_wide_simple_array(
     fmt: FixedFormat,
     stats: "SaturationStats | None" = None,
 ) -> np.ndarray:
-    """Vectorised ``cast_wide_simple``.  When every cell is already a rep of
-    the format, the result is ``t`` itself."""
+    """Narrow an int64 array of wide sums (FL fraction bits, the format's own
+    resolution) back to word reps.
+
+    Cells beyond the format bounds saturate; in-range cells pass through
+    unchanged.  When every cell is already a rep of the format, the result
+    is ``t`` itself.
+    """
     if _count_saturated(t, fmt.ubound, fmt.lbound, stats):
         return _clamp(t, fmt.lbound, fmt.ubound, np.empty_like(t))
     return t
@@ -386,40 +367,13 @@ def saturating_acc_add(
     return s
 
 
-# -- primitive arithmetic ----------------------------------------------------
+# -- format check and division ------------------------------------------------
 
 def _check_fmt(a, b) -> FixedFormat:
-    """The format two fixed operands (words or matrices) share."""
+    """The format two fixed operands (matrices) share."""
     if a.fmt != b.fmt:
         raise FixedFormatError(f"format mismatch: {a.fmt} vs {b.fmt}")
     return a.fmt
-
-
-def add_f(a: FixedWord, b: FixedWord) -> FixedWord:
-    """Saturating addition: exact wide sum, then narrow."""
-    fmt = _check_fmt(a, b)
-    return cast_wide_simple(a.rep + b.rep, fmt)
-
-
-def sub_f(a: FixedWord, b: FixedWord) -> FixedWord:
-    fmt = _check_fmt(a, b)
-    return cast_wide_simple(a.rep - b.rep, fmt)
-
-
-def neg_f(a: FixedWord) -> FixedWord:
-    return cast_wide_simple(-a.rep, a.fmt)
-
-
-def multiply_f(
-    a: FixedWord,
-    b: FixedWord,
-    mode: RoundingMode = RoundingMode.NEAREST,
-    rng: np.random.Generator | None = None,
-) -> FixedWord:
-    """Multiply via the exact wide product (2*FL fraction bits), then narrow
-    with the given rounding mode."""
-    fmt = _check_fmt(a, b)
-    return cast_wide(a.rep * b.rep, fmt, mode, rng)
 
 
 _FLOAT64_EXACT = 1 << 53  # every integer of smaller magnitude is a double
@@ -427,7 +381,9 @@ _FLOAT64_EXACT = 1 << 53  # every integer of smaller magnitude is a double
 
 def trunc_div_array(num: np.ndarray, den: np.ndarray | int) -> np.ndarray:
     """C-style integer division: truncates toward zero.  ``den`` must be
-    non-zero, and ``|num| < 2**53`` or ``ValueError`` is raised.
+    non-zero, and ``|num| < 2**53`` or ``ValueError`` is raised.  Its one
+    caller, ``_FixedOps.div``, reads a zero divisor as one before it calls
+    this, so no solve passes zero.
 
     The int64 result is ``trunc(float64(num) / float64(den))``, which is
     exact.  ``num`` converts exactly, and so does ``den`` when
@@ -445,42 +401,18 @@ def trunc_div_array(num: np.ndarray, den: np.ndarray | int) -> np.ndarray:
     return np.asarray(num / den).astype(np.int64)
 
 
-def divide_f(a: FixedWord, b: FixedWord) -> FixedWord:
-    """Saturating division: shift the dividend left by FL, integer-divide
-    (truncating toward zero), then narrow the FL-fraction quotient."""
-    fmt = _check_fmt(a, b)
-    if b.rep == 0:
-        raise ZeroDivisionError("fixed-point division by zero")
-    q = trunc_div_array(_wide(a.rep << fmt.fraction_length), b.rep)
-    return cast_wide_simple(q, fmt)
-
-
 # -- square roots ------------------------------------------------------------
-
-def integer_sqrt(t: int, fmt: FixedFormat) -> FixedWord:
-    """Floor square root of an int64 wide sum of squares (2*FL fraction bits).
-
-    Because sqrt(v * 2**-2FL) = sqrt(v) * 2**-FL, the integer square root of
-    the wide rep is directly the FL-fraction result.  This is the one-element
-    case of ``integer_sqrt_array``.
-    """
-    return FixedWord(int(integer_sqrt_array(_wide(t), fmt)), fmt)
-
-
-def float_sqrt(t: int, fmt: FixedFormat) -> FixedWord:
-    """Square root of an int64 wide sum of squares via double arithmetic.
-
-    Converts the wide value to a double, takes the IEEE sqrt and quantizes
-    back with nearest rounding.  This is the default norm path, and the
-    one-element case of ``float_sqrt_array``.
-    """
-    return FixedWord(int(float_sqrt_array(_wide(t), fmt)), fmt)
-
 
 def float_sqrt_array(
     t: np.ndarray, fmt: FixedFormat, stats: "SaturationStats | None" = None
 ) -> np.ndarray:
-    """Vectorised ``float_sqrt`` over int64 wide values (must be >= 0)."""
+    """Square roots of int64 wide sums of squares (2*FL fraction bits, must
+    be >= 0) via double arithmetic.
+
+    Converts each wide value to a double, takes the IEEE sqrt and quantizes
+    back with nearest rounding, saturating at the upper bound.  This is the
+    default norm path.
+    """
     if (t < 0).any():
         raise ValueError("square root of a negative value")
     value = t.astype(np.float64) * (fmt.epsilon * fmt.epsilon)
@@ -509,7 +441,13 @@ def _isqrt_array(t: np.ndarray) -> np.ndarray:
 def integer_sqrt_array(
     t: np.ndarray, fmt: FixedFormat, stats: "SaturationStats | None" = None
 ) -> np.ndarray:
-    """Vectorised ``integer_sqrt`` over int64 wide values (must be >= 0)."""
+    """Floor square roots of int64 wide sums of squares (2*FL fraction bits,
+    must be >= 0).
+
+    Because sqrt(v * 2**-2FL) = sqrt(v) * 2**-FL, the integer square root of
+    a wide rep is directly the FL-fraction result; roots beyond the upper
+    bound saturate.
+    """
     if (t < 0).any():
         raise ValueError("square root of a negative value")
     return cast_wide_simple_array(_isqrt_array(t), fmt, stats)

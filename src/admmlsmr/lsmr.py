@@ -17,7 +17,6 @@ import numpy as np
 from .fixedpoint import (
     ColumnStreams,
     FixedFormat,
-    FixedWord,
     RoundingMode,
     SaturationStats,
     _check_fmt,
@@ -86,8 +85,8 @@ class _RealOps:
 class _FixedOps:
     """Column-vectorised fixed arithmetic shared by all block solves.
 
-    Every helper applies exactly the scalar operation cellwise, so a block of
-    columns computes bit-identical results to solving each column alone.
+    Every helper applies one word operation cellwise, so a block of columns
+    computes bit-identical results to solving each column alone.
     """
 
     zero = np.int64(0)
@@ -176,28 +175,6 @@ def _sym_cols(
     s = np.where(degenerate, ops.zero, np.where(take_b, lead, other))
     r = np.where(degenerate, ops.zero, r)
     return c, s, r
-
-
-def sym(a: float, b: float) -> tuple[float, float, float]:
-    """Stable Givens rotation (c, s, r) zeroing the second component."""
-    c, s, r = _sym_cols(_RealOps(), np.array([float(a)]), np.array([float(b)]))
-    return float(c[0]), float(s[0]), float(r[0])
-
-
-def sym_fixed(
-    a: FixedWord,
-    b: FixedWord,
-    mode: RoundingMode = RoundingMode.NEAREST,
-    rng: np.random.Generator | None = None,
-    sqrt_path: str = "float",
-) -> tuple[FixedWord, FixedWord, FixedWord]:
-    """Fixed-point Givens rotation: the same rotation in word arithmetic."""
-    fmt = _check_fmt(a, b)
-    streams = None if rng is None else ColumnStreams([rng], 1)
-    ops = _FixedOps(fmt, mode, streams, sqrt_path, None)
-    reps = np.array([[a.rep], [b.rep]], dtype=np.int64)
-    c, s, r = _sym_cols(ops, reps[0], reps[1])
-    return tuple(FixedWord(int(v[0]), fmt) for v in (c, s, r))
 
 
 # -- the recurrence --------------------------------------------------------------
@@ -302,25 +279,6 @@ def lsmr_solve(a: np.ndarray, b: np.ndarray, iters: int | None = None) -> np.nda
     if b.shape != (a.shape[0],):
         raise ValueError(f"shape mismatch: a is {a.shape}, b is {b.shape}")
     return lsmr_solve_multi(LsmrJob.full(a, b[:, None], iters))[:, 0]
-
-
-def lsmr_solve_fixed(
-    a: FixedMatrix,
-    b: FixedMatrix,
-    iters: int | None = None,
-    mode: RoundingMode = RoundingMode.NEAREST,
-    rng: np.random.Generator | None = None,
-    sqrt_path: str = "float",
-    stats: SaturationStats | None = None,
-) -> FixedMatrix:
-    """Fixed-point solve of ``a x ~= b`` for a single right-hand side: a
-    one-column ``lsmr_solve_multi`` job whose column draws from ``rng``."""
-    if b.cols != 1:
-        raise ValueError(f"expected an {a.rows}x1 right-hand side, got {b.shape}")
-    if mode is RoundingMode.STOCHASTIC and rng is None:
-        raise ValueError("stochastic rounding requires a random stream")
-    job = LsmrJob.full(a, b, iters)
-    return lsmr_solve_multi(job, mode, lambda _: rng, sqrt_path, stats)
 
 
 # -- multi-right-hand-side jobs --------------------------------------------------

@@ -13,15 +13,11 @@ import numpy as np
 
 from .fixedpoint import (
     FixedFormat,
-    FixedWord,
     RoundingMode,
     SaturationStats,
     _check_fmt,
     cast_wide_array,
-    cast_wide_simple_array,
     convert_array,
-    float_sqrt_array,
-    integer_sqrt_array,
     saturating_acc_add,
 )
 
@@ -152,19 +148,6 @@ def mat_mul_fixed(
     return FixedMatrix(cast_wide_array(acc, fmt, mode, rng, stats=stats), fmt)
 
 
-def dot_fixed(
-    u: FixedMatrix,
-    v: FixedMatrix,
-    mode: RoundingMode = RoundingMode.NEAREST,
-    rng: np.random.Generator | None = None,
-    stats: SaturationStats | None = None,
-) -> FixedWord:
-    """Inner product of a 1 x m row with an m x 1 column."""
-    if u.rows != 1 or v.cols != 1 or u.cols != v.rows:
-        raise ValueError(f"expected 1xm . mx1, got {u.shape} . {v.shape}")
-    return FixedWord(int(mat_mul_fixed(u, v, mode, rng, stats).data[0, 0]), u.fmt)
-
-
 def sum_squares_wide(
     reps: np.ndarray,
     fmt: FixedFormat,
@@ -185,62 +168,6 @@ def sum_squares_wide(
     if stats is not None:
         stats.count(sum(s > fmt.wide_ubound for s in exact))
     return np.array([min(s, fmt.wide_ubound) for s in exact], dtype=np.int64)
-
-
-def norm_fixed(
-    v: FixedMatrix,
-    sqrt_path: str = "float",
-    stats: SaturationStats | None = None,
-) -> FixedWord:
-    """Euclidean norm of a fixed-point vector (m x 1 or 1 x m).
-
-    Squares accumulate exactly in the wide container with saturation checks;
-    the configured square-root path then produces the word-format result.
-    """
-    data = v.data
-    if v.rows == 1:
-        data = data.T
-    elif v.cols != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    total = sum_squares_wide(data, v.fmt, stats)
-    if sqrt_path == "float":
-        rep = float_sqrt_array(total, v.fmt, stats)
-    elif sqrt_path == "integer":
-        rep = integer_sqrt_array(total, v.fmt, stats)
-    else:
-        raise ValueError(f"unknown sqrt_path {sqrt_path!r}")
-    return FixedWord(int(rep[0]), v.fmt)
-
-
-def add_fixed(
-    a: FixedMatrix, b: FixedMatrix, stats: SaturationStats | None = None
-) -> FixedMatrix:
-    fmt = _check_fmt(a, b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return FixedMatrix(cast_wide_simple_array(a.data + b.data, fmt, stats), fmt)
-
-
-def sub_fixed(
-    a: FixedMatrix, b: FixedMatrix, stats: SaturationStats | None = None
-) -> FixedMatrix:
-    fmt = _check_fmt(a, b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return FixedMatrix(cast_wide_simple_array(a.data - b.data, fmt, stats), fmt)
-
-
-def scale_fixed(
-    m: FixedMatrix,
-    s: FixedWord,
-    mode: RoundingMode = RoundingMode.NEAREST,
-    rng: np.random.Generator | None = None,
-    stats: SaturationStats | None = None,
-) -> FixedMatrix:
-    """Cellwise multiplication by a scalar word."""
-    fmt = _check_fmt(m, s)
-    wide = m.data * np.int64(s.rep)
-    return FixedMatrix(cast_wide_array(wide, fmt, mode, rng, stats=stats), fmt)
 
 
 def transpose_fixed(m: FixedMatrix) -> FixedMatrix:

@@ -20,22 +20,14 @@ from admmlsmr.fixedpoint import (
     RoundingMode,
     SaturationStats,
     _isqrt_array,
-    add_f,
-    cast_wide,
     cast_wide_array,
-    cast_wide_simple,
     cast_wide_simple_array,
     convert,
     convert_array,
-    divide_f,
-    float_sqrt,
-    integer_sqrt,
+    float_sqrt_array,
     integer_sqrt_array,
     make_stream,
-    multiply_f,
-    neg_f,
     saturating_acc_add,
-    sub_f,
     trunc_div_array,
     value_of,
 )
@@ -54,6 +46,13 @@ INT64_MAX = (1 << 63) - 1
 
 def rng_for(mode, seed=0):
     return make_stream(seed, 99) if mode is RoundingMode.STOCHASTIC else None
+
+
+def fixed_ops(fmt, mode=RoundingMode.NEAREST, rng=None):
+    """The solver's word arithmetic; a stochastic cast of one column draws
+    from ``rng``."""
+    streams = None if rng is None else ColumnStreams([rng], 1)
+    return _FixedOps(fmt, mode, streams, "float", None)
 
 
 def wide_cells(fmt):
@@ -322,14 +321,13 @@ class TestConvert:
 
 class TestCastWide:
     def test_exact_when_no_discarded_bits(self):
-        t = 23689 << FIXED16.fraction_length
+        t = np.int64(23689 << FIXED16.fraction_length)
         for mode in ALL_MODES:
-            assert cast_wide(t, FIXED16, mode, rng_for(mode)).rep == 23689
+            assert cast_wide_array(t, FIXED16, mode, rng_for(mode)) == 23689
 
     def test_simple_cast_cases(self):
-        assert cast_wide_simple(2**40, FIXED32).rep == FIXED32.ubound
-        assert cast_wide_simple(5, FIXED32).rep == 5
-        assert cast_wide_simple(FIXED32.lbound - 1, FIXED32).rep == FIXED32.lbound
+        t = np.array([2**40, 5, FIXED32.lbound - 1])
+        assert cast_wide_simple_array(t, FIXED32).tolist() == [FIXED32.ubound, 5, FIXED32.lbound]
 
     def test_rounding_against_oracle(self):
         rng = np.random.default_rng(11)
@@ -346,15 +344,15 @@ class TestCastWide:
         for mode in DETERMINISTIC_MODES:
             want = [oracle_cast_wide(int(t), FIXED32, mode) for t in wide]
             assert cast_wide_array(wide, FIXED32, mode).tolist() == want
-            assert [cast_wide(int(t), FIXED32, mode).rep for t in wide] == want
+            assert [int(cast_wide_array(t, FIXED32, mode)) for t in wide] == want
 
     def test_stochastic_up_probability(self):
         # A discarded fraction of 0.75 eps must round up about 75% of the time.
         fl = FIXED32.fraction_length
-        t = (100 << fl) + (3 << (fl - 2))
-        gen = make_stream(3, 44)
         n = 100_000
-        ups = sum(cast_wide(t, FIXED32, RoundingMode.STOCHASTIC, gen).rep == 101 for _ in range(n))
+        t = np.full(n, (100 << fl) + (3 << (fl - 2)))
+        got = cast_wide_array(t, FIXED32, RoundingMode.STOCHASTIC, make_stream(3, 44))
+        ups = np.count_nonzero(got == 101)
         assert abs(ups / n - 0.75) < 0.01
 
     def test_saturation_counted(self):
@@ -491,11 +489,10 @@ class TestExtremesAtTheBounds:
 
 class TestArithmetic:
     def test_add_trivial(self):
-        one = FIXED32.word(FIXED32.one)
-        assert value_of(add_f(one, one)) == 2.0
-        top = FIXED32.word(FIXED32.ubound)
-        tiny = FIXED32.word(1)
-        assert add_f(top, tiny).rep == FIXED32.ubound
+        ops = fixed_ops(FIXED32)
+        one = np.array([FIXED32.one])
+        assert ops.add(one, one).tolist() == [2 * FIXED32.one]
+        assert ops.add(np.array([FIXED32.ubound]), np.array([1])).tolist() == [FIXED32.ubound]
 
     def test_add_random_against_clamped_reals(self):
         rng = np.random.default_rng(13)
@@ -505,26 +502,21 @@ class TestArithmetic:
             got = cast_wide_simple_array(a + b, fmt)
             want = np.clip(a + b, fmt.lbound, fmt.ubound)
             assert np.array_equal(got, want)
-            # spot-check the scalar entry point agrees
-            for i in range(0, 100_000, 9973):
-                w = add_f(fmt.word(int(a[i])), fmt.word(int(b[i])), )
-                assert w.rep == want[i]
+            assert np.array_equal(fixed_ops(fmt).add(a, b), want)
 
     def test_sub_and_neg(self):
-        one = FIXED32.word(FIXED32.one)
-        two = add_f(one, one)
-        assert value_of(sub_f(two, one)) == 1.0
-        assert neg_f(FIXED32.word(FIXED32.lbound)).rep == FIXED32.ubound
+        ops = fixed_ops(FIXED32)
+        one = np.array([FIXED32.one])
+        assert ops.sub(ops.add(one, one), one).tolist() == [FIXED32.one]
+        assert ops.neg(np.array([FIXED32.lbound])).tolist() == [FIXED32.ubound]
 
     def test_multiply_identity_and_zero(self):
         rng = np.random.default_rng(14)
-        one = FIXED32.word(FIXED32.one)
-        zero = FIXED32.word(0)
-        for rep in rng.integers(FIXED32.lbound, FIXED32.ubound + 1, size=200):
-            w = FIXED32.word(int(rep))
-            for mode in DETERMINISTIC_MODES:
-                assert multiply_f(one, w, mode).rep == rep
-            assert multiply_f(zero, w).rep == 0
+        reps = rng.integers(FIXED32.lbound, FIXED32.ubound + 1, size=200)
+        one = np.full_like(reps, FIXED32.one)
+        for mode in DETERMINISTIC_MODES:
+            assert fixed_ops(FIXED32, mode).mul(one, reps).tolist() == reps.tolist()
+        assert not fixed_ops(FIXED32).mul(np.zeros_like(reps), reps).any()
 
     def test_multiply_exact_fraction(self):
         # 1.5 * 2.25 = 3.375; every factor and the product sit on the grid.
@@ -532,43 +524,41 @@ class TestArithmetic:
         b = convert(2.25, FIXED32)
         assert a.rep == 3 << 17 and b.rep == 9 << 16
         for mode in ALL_MODES:
-            assert value_of(multiply_f(a, b, mode, rng_for(mode))) == 3.375
+            ops = fixed_ops(FIXED32, mode, rng_for(mode))
+            got = ops.mul(np.array([a.rep]), np.array([b.rep]))
+            assert (got * FIXED32.epsilon).tolist() == [3.375]
 
     def test_multiply_against_oracle(self):
         rng = np.random.default_rng(15)
         reps = rng.integers(FIXED32.lbound, FIXED32.ubound + 1, size=(3000, 2))
+        a, b = reps[:800, 0], reps[:800, 1]
         for mode in DETERMINISTIC_MODES:
-            for a_rep, b_rep in reps[:800]:
-                got = multiply_f(FIXED32.word(int(a_rep)), FIXED32.word(int(b_rep)), mode)
-                assert got.rep == oracle_cast_wide(int(a_rep) * int(b_rep), FIXED32, mode)
+            got = fixed_ops(FIXED32, mode).mul(a, b)
+            want = [oracle_cast_wide(int(x) * int(y), FIXED32, mode) for x, y in zip(a, b)]
+            assert got.tolist() == want
 
     def test_divide_identity_and_half(self):
-        one = FIXED32.word(FIXED32.one)
-        two = convert(2.0, FIXED32)
+        ops = fixed_ops(FIXED32)
         rng = np.random.default_rng(16)
-        for rep in rng.integers(FIXED32.lbound, FIXED32.ubound + 1, size=300):
-            w = FIXED32.word(int(rep))
-            assert divide_f(w, one).rep == rep
-        assert value_of(divide_f(one, two)) == 0.5
-
-    def test_divide_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            divide_f(FIXED32.word(5), FIXED32.word(0))
+        reps = rng.integers(FIXED32.lbound, FIXED32.ubound + 1, size=300)
+        assert ops.div(reps, np.full_like(reps, FIXED32.one)).tolist() == reps.tolist()
+        two = convert(2.0, FIXED32).rep
+        assert ops.div(np.array([FIXED32.one]), np.array([two])).tolist() == [FIXED32.one // 2]
 
     def test_divide_within_epsilon_of_real(self):
         rng = np.random.default_rng(17)
         for fmt in (FIXED16, FIXED32):
-            n = 0
-            while n < 20000:
-                a = int(rng.integers(fmt.lbound, fmt.ubound + 1))
-                b = int(rng.integers(fmt.one // 4, fmt.ubound))
+            a, b = [], []
+            while len(a) < 20000:
+                a.append(int(rng.integers(fmt.lbound, fmt.ubound + 1)))
+                b.append(int(rng.integers(fmt.one // 4, fmt.ubound)))
                 if rng.random() < 0.5:
-                    b = -b
-                got = value_of(divide_f(fmt.word(a), fmt.word(b)))
-                real = (a * fmt.epsilon) / (b * fmt.epsilon)
-                clamped = min(max(real, fmt.lbound_value), fmt.ubound_value)
-                assert abs(got - clamped) <= fmt.epsilon
-                n += 1
+                    b[-1] = -b[-1]
+            a, b = np.array(a), np.array(b)
+            got = fixed_ops(fmt).div(a, b) * fmt.epsilon
+            real = (a * fmt.epsilon) / (b * fmt.epsilon)
+            clamped = np.clip(real, fmt.lbound_value, fmt.ubound_value)
+            assert np.abs(got - clamped).max() <= fmt.epsilon
 
     @settings(max_examples=300, deadline=None)
     @given(raw_divisions())
@@ -602,9 +592,6 @@ class TestArithmetic:
         assert got.shape == num.shape
         assert got.ravel().tolist() == want
         assert stats.events == sum(q >= fmt.ubound or q <= fmt.lbound for q in quotients)
-        for n, d, w in zip(num.ravel(), den.ravel(), want):
-            if d:
-                assert divide_f(fmt.word(int(n)), fmt.word(int(d))).rep == w
 
     @pytest.mark.parametrize(
         "num", [EXACT, -EXACT, [0, EXACT], [[1, 2], [-EXACT, 3]], INT64_MAX],
@@ -614,21 +601,16 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             trunc_div_array(np.array(num, dtype=np.int64), 3)
 
-    def test_format_mismatch_rejected(self):
-        with pytest.raises(FixedFormatError):
-            add_f(FIXED16.word(1), FIXED32.word(1))
-
 
 class TestSqrt:
     def test_integer_sqrt_fixtures(self):
         one_sq = FIXED32.one * FIXED32.one
-        assert integer_sqrt(one_sq, FIXED32).rep == FIXED32.one
-        assert integer_sqrt(0, FIXED32).rep == 0
+        assert integer_sqrt_array(np.array([one_sq, 0]), FIXED32).tolist() == [FIXED32.one, 0]
 
     def test_integer_sqrt_is_floor_root(self):
         rng = np.random.default_rng(18)
-        for t in rng.integers(0, FIXED32.wide_ubound, size=3000):
-            n = integer_sqrt(int(t), FIXED32).rep
+        ts = rng.integers(0, FIXED32.wide_ubound, size=3000)
+        for t, n in zip(ts.tolist(), integer_sqrt_array(ts, FIXED32).tolist()):
             if n < FIXED32.ubound:
                 assert n * n <= t < (n + 1) * (n + 1)
             else:
@@ -656,22 +638,22 @@ class TestSqrt:
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            integer_sqrt(-1, FIXED32)
+            integer_sqrt_array(np.array([-1]), FIXED32)
         with pytest.raises(ValueError):
-            float_sqrt(-1, FIXED32)
+            float_sqrt_array(np.array([-1]), FIXED32)
 
     def test_float_path_fixtures(self):
-        assert float_sqrt(FIXED32.one * FIXED32.one, FIXED32).rep == FIXED32.one
         t25 = 25 << (2 * FIXED32.fraction_length)
-        assert value_of(float_sqrt(t25, FIXED32)) == 5.0
+        got = float_sqrt_array(np.array([FIXED32.one * FIXED32.one, t25]), FIXED32)
+        assert got.tolist() == [FIXED32.one, 5 * FIXED32.one]
 
     def test_paths_agree_within_epsilon(self):
         rng = np.random.default_rng(19)
         max_t = (FIXED32.ubound * FIXED32.ubound)  # keep true root in range
-        for t in rng.integers(0, max_t, size=100_000, dtype=np.int64)[:5000]:
-            a = integer_sqrt(int(t), FIXED32).rep
-            b = float_sqrt(int(t), FIXED32).rep
-            assert abs(a - b) <= 1
+        ts = rng.integers(0, max_t, size=100_000, dtype=np.int64)[:5000]
+        a = integer_sqrt_array(ts, FIXED32)
+        b = float_sqrt_array(ts, FIXED32)
+        assert np.abs(a - b).max() <= 1
 
 
 class TestAccumulator:
@@ -716,8 +698,9 @@ class TestStreams:
 
     @pytest.mark.parametrize("fmt", [FIXED16, FIXED32], ids=["fixed16", "fixed32"])
     def test_scalar_calls_draw_like_one_array_call(self, fmt):
-        # One uniform per value, saturated or not: a run of scalar calls on
-        # one stream consumes it exactly as one array call does.
+        # One uniform per value, saturated or not: a run of scalar calls
+        # (``convert``, and casts of 0-d arrays) on one stream consumes it
+        # exactly as one array call does.
         rng = np.random.default_rng(20)
         mode = RoundingMode.STOCHASTIC
         xs = rng.uniform(2 * fmt.lbound_value, 2 * fmt.ubound_value, 400)
@@ -734,7 +717,7 @@ class TestStreams:
         wide[1::9] = fmt.wide_lbound
         wide[2::9] = edge
         gen = make_stream(8, fmt.word_length)
-        scalars = [cast_wide(int(t), fmt, mode, gen).rep for t in wide]
+        scalars = [int(cast_wide_array(t, fmt, mode, gen)) for t in wide]
         array = cast_wide_array(wide, fmt, mode, make_stream(8, fmt.word_length))
         assert scalars == array.tolist()
 

@@ -7,17 +7,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admmlsmr import lsmr as lsmr_module
-from admmlsmr.fixedpoint import FIXED16, FIXED32, RoundingMode, SaturationStats, make_stream
+from admmlsmr.fixedpoint import (
+    FIXED16,
+    FIXED32,
+    ColumnStreams,
+    RoundingMode,
+    SaturationStats,
+    make_stream,
+)
 from admmlsmr.lsmr import (
     SQRT_PATHS,
     LsmrJob,
     _FixedOps,
+    _RealOps,
+    _sym_cols,
     lsmr_solve,
-    lsmr_solve_fixed,
     lsmr_solve_multi,
     split_ranges,
-    sym,
-    sym_fixed,
 )
 from admmlsmr.matrix import FixedMatrix, dequantize_matrix, quantize_matrix
 from conftest import (
@@ -29,48 +35,102 @@ from conftest import (
 EPS32 = FIXED32.epsilon
 
 
+def rotate(ops, a, b) -> np.ndarray:
+    """One ``_sym_cols`` call over the lanes ``a`` and ``b``: a (3, p) array
+    of each lane's (c, s, r)."""
+    return np.stack(_sym_cols(ops, np.asarray(a), np.asarray(b)))
+
+
+def rotate_real(a: float, b: float) -> tuple[float, float, float]:
+    """The real rotation of one lane."""
+    return tuple(rotate(_RealOps(), [a], [b])[:, 0].tolist())
+
+
+def rotation_lanes(fmt, seed):
+    """Rep pairs (a, b) as two lane arrays: the (0, 0) lane, axis lanes,
+    equal-magnitude lanes, lanes at the format bounds, a Pythagorean triple,
+    the pinned stochastic example and random lanes."""
+    one, ub, lb = fmt.one, fmt.ubound, fmt.lbound
+    pairs = [
+        (0, 0),
+        (one, 0), (0, one), (-one, 0), (0, -one), (5, 0), (0, -7),
+        (one, one), (-3, 3), (one, -one), (-ub, ub),
+        (ub, ub), (lb, lb), (ub, lb), (lb, ub), (lb, 0), (0, ub), (ub, 1), (-1, lb),
+        (3 * one, 4 * one), (3 * one // 4, -one // 3),
+    ]
+    pairs += np.random.default_rng(seed).integers(lb, ub + 1, (24, 2)).tolist()
+    return np.array(pairs, dtype=np.int64).T
+
+
 class TestSym:
     def test_pythagorean_triple(self):
-        c, s, r = sym(3.0, 4.0)
+        c, s, r = rotate_real(3.0, 4.0)
         assert (c, s, r) == pytest.approx((0.6, 0.8, 5.0), abs=1e-12)
 
     def test_axis_cases(self):
-        assert sym(1.0, 0.0) == (1.0, 0.0, 1.0)
-        c, s, r = sym(0.0, 1.0)
+        assert rotate_real(1.0, 0.0) == (1.0, 0.0, 1.0)
+        c, s, r = rotate_real(0.0, 1.0)
         assert (c, s, r) == pytest.approx((0.0, 1.0, 1.0), abs=1e-15)
 
     def test_degenerate_identity(self):
-        assert sym(0.0, 0.0) == (1.0, 0.0, 0.0)
+        assert rotate_real(0.0, 0.0) == (1.0, 0.0, 0.0)
 
     def test_rotation_contract(self):
         rng = np.random.default_rng(0)
-        for _ in range(2000):
-            a, b = rng.uniform(-100, 100, 2)
-            c, s, r = sym(a, b)
+        a, b = rng.uniform(-100, 100, (2000, 2)).T
+        for x, y, (c, s, r) in zip(a, b, rotate(_RealOps(), a, b).T):
             assert abs(c * c + s * s - 1.0) < 1e-12
-            assert abs(r) == pytest.approx(np.hypot(a, b), rel=1e-12)
+            assert abs(r) == pytest.approx(np.hypot(x, y), rel=1e-12)
             # branch consistency: r reconstructs the dominant component
-            if abs(b) > abs(a):
-                assert r * s == pytest.approx(b, rel=1e-12)
+            if abs(y) > abs(x):
+                assert r * s == pytest.approx(y, rel=1e-12)
             else:
-                assert r * c == pytest.approx(a, rel=1e-12)
+                assert r * c == pytest.approx(x, rel=1e-12)
 
     def test_fixed_matches_real(self):
         rng = np.random.default_rng(1)
-        for _ in range(300):
-            a, b = rng.uniform(-50, 50, 2)
-            wa = quantize_matrix([[a]], FIXED32).data[0, 0]
-            wb = quantize_matrix([[b]], FIXED32).data[0, 0]
-            cf, sf, rf = sym_fixed(FIXED32.word(int(wa)), FIXED32.word(int(wb)))
-            c, s, r = sym(wa * EPS32, wb * EPS32)
-            assert abs(cf.value - c) <= 4 * EPS32
-            assert abs(sf.value - s) <= 4 * EPS32
-            assert abs(rf.value - r) <= max(8 * EPS32, abs(r) * 1e-4)
+        wa, wb = quantize_matrix(rng.uniform(-50, 50, (300, 2)).T, FIXED32).data
+        ops = _FixedOps(FIXED32, RoundingMode.NEAREST, None, "float", None)
+        fixed = rotate(ops, wa, wb) * EPS32
+        for (cf, sf, rf), (c, s, r) in zip(fixed.T, rotate(_RealOps(), wa * EPS32, wb * EPS32).T):
+            assert abs(cf - c) <= 4 * EPS32
+            assert abs(sf - s) <= 4 * EPS32
+            assert abs(rf - r) <= max(8 * EPS32, abs(r) * 1e-4)
 
     def test_fixed_degenerate(self):
-        zero = FIXED32.word(0)
-        c, s, r = sym_fixed(zero, zero)
-        assert (c.rep, s.rep, r.rep) == (FIXED32.one, 0, 0)
+        ops = _FixedOps(FIXED32, RoundingMode.NEAREST, None, "float", None)
+        assert rotate(ops, [0], [0])[:, 0].tolist() == [FIXED32.one, 0, 0]
+
+    @pytest.mark.parametrize("fmt", [FIXED16, FIXED32], ids=["fixed16", "fixed32"])
+    def test_real_lanes_equal_one_lane_calls(self, fmt):
+        a, b = rotation_lanes(fmt, 2) * fmt.epsilon
+        lanes = rotate(_RealOps(), a, b)
+        for j in range(a.size):
+            alone = rotate(_RealOps(), a[j : j + 1], b[j : j + 1])
+            assert lanes[:, j].tobytes() == alone[:, 0].tobytes()
+
+    @pytest.mark.parametrize("sqrt_path", SQRT_PATHS)
+    @pytest.mark.parametrize("mode", list(RoundingMode), ids=[m.value for m in RoundingMode])
+    @pytest.mark.parametrize("fmt", [FIXED16, FIXED32], ids=["fixed16", "fixed32"])
+    def test_fixed_lanes_equal_one_lane_calls(self, fmt, mode, sqrt_path):
+        # One call over every lane gives each lane the rotation, the
+        # saturations and the stream position of rotating it alone.
+        a, b = rotation_lanes(fmt, 3)
+
+        def rotate_fixed(a, b, gens, stats):
+            streams = ColumnStreams(gens, 1) if mode is RoundingMode.STOCHASTIC else None
+            return rotate(_FixedOps(fmt, mode, streams, sqrt_path, stats), a, b)
+
+        lane_gens = [make_stream(6, j) for j in range(a.size)]
+        alone_gens = [make_stream(6, j) for j in range(a.size)]
+        lane_stats, alone_stats = SaturationStats(), SaturationStats()
+        lanes = rotate_fixed(a, b, lane_gens, lane_stats)
+        for j in range(a.size):
+            alone = rotate_fixed(a[j : j + 1], b[j : j + 1], alone_gens[j : j + 1], alone_stats)
+            assert lanes[:, j].tolist() == alone[:, 0].tolist()
+        # the bound-valued lanes saturate
+        assert lane_stats.events == alone_stats.events > 0
+        assert [g.random() for g in lane_gens] == [g.random() for g in alone_gens]
 
 
 class TestRealSolve:
@@ -120,14 +180,14 @@ class TestFixedSolve:
         rng = np.random.default_rng(6)
         b = rng.uniform(-0.3, 0.3, size=(6, 1))
         bf = quantize_matrix(b, FIXED32)
-        x = lsmr_solve_fixed(quantize_matrix(np.eye(6), FIXED32), bf)
+        x = lsmr_solve_multi(LsmrJob.full(quantize_matrix(np.eye(6), FIXED32), bf))
         assert np.abs(dequantize_matrix(x) - dequantize_matrix(bf)).max() <= 2 * EPS32
 
     def test_zero_rhs_bit_exact(self):
-        x = lsmr_solve_fixed(
+        x = lsmr_solve_multi(LsmrJob.full(
             quantize_matrix(np.eye(5), FIXED32),
             quantize_matrix(np.zeros((5, 1)), FIXED32),
-        )
+        ))
         assert not x.data.any()
 
     def test_zero_denominator_keeps_iterate(self):
@@ -135,7 +195,7 @@ class TestFixedSolve:
         # the column cannot complete it and stops with its zero iterate.
         a = FixedMatrix(np.array([[-14, -17]]), FIXED16)
         b = FixedMatrix(np.array([[-24]]), FIXED16)
-        assert not lsmr_solve_fixed(a, b).data.any()
+        assert not lsmr_solve_multi(LsmrJob.full(a, b)).data.any()
 
     def test_against_real_path(self):
         rng = np.random.default_rng(7)
@@ -143,8 +203,8 @@ class TestFixedSolve:
             a = rng.uniform(-1, 1, size=(16, 6))
             b = rng.uniform(-1, 1, size=(16, 1))
             xr = lsmr_solve(a, b.ravel())
-            xf = lsmr_solve_fixed(
-                quantize_matrix(a, FIXED32), quantize_matrix(b, FIXED32)
+            xf = lsmr_solve_multi(
+                LsmrJob.full(quantize_matrix(a, FIXED32), quantize_matrix(b, FIXED32))
             )
             err = np.abs(dequantize_matrix(xf).ravel() - xr).max()
             assert err <= 1000 * EPS32
@@ -156,8 +216,8 @@ class TestFixedSolve:
         b = quantize_matrix(rng.uniform(-1, 1, (12, 6)), FIXED32)
         block = lsmr_solve_multi(LsmrJob.full(a, b))
         for j in range(6):
-            single = lsmr_solve_fixed(
-                a, quantize_matrix(dequantize_matrix(b)[:, j : j + 1], FIXED32)
+            single = lsmr_solve_multi(
+                LsmrJob.full(a, quantize_matrix(dequantize_matrix(b)[:, j : j + 1], FIXED32))
             )
             assert np.array_equal(block.data[:, j], single.data[:, 0])
 
@@ -165,7 +225,7 @@ class TestFixedSolve:
         a = quantize_matrix(np.eye(3), FIXED32)
         b = quantize_matrix(np.ones((3, 1)), FIXED32)
         with pytest.raises(ValueError):
-            lsmr_solve_fixed(a, b, mode=RoundingMode.STOCHASTIC)
+            lsmr_solve_multi(LsmrJob.full(a, b), RoundingMode.STOCHASTIC)
 
     @pytest.mark.parametrize(
         "fmt, solution, rotation",
@@ -182,12 +242,12 @@ class TestFixedSolve:
         a = quantize_matrix(np.array([[1.0, 0.5], [0.25, -1.0], [0.75, 0.125]]), fmt)
         b = quantize_matrix(np.array([[0.3], [-0.7], [0.2]]), fmt)
         gen = make_stream(4, 2)
-        x = lsmr_solve_fixed(a, b, mode=mode, rng=gen)
+        x = lsmr_solve_multi(LsmrJob.full(a, b), mode, lambda _: gen)
         assert x.data[:, 0].tolist() == solution
         assert gen.random() == 0.4298379211601343
         gen = make_stream(4, 3)
-        words = sym_fixed(fmt.word(3 * fmt.one // 4), fmt.word(-fmt.one // 3), mode, gen)
-        assert [w.rep for w in words] == rotation
+        ops = _FixedOps(fmt, mode, ColumnStreams([gen], 1), "float", None)
+        assert rotate(ops, [3 * fmt.one // 4], [-fmt.one // 3])[:, 0].tolist() == rotation
         assert gen.random() == 0.2209966912170116
 
 
@@ -432,7 +492,6 @@ class TestPartitionProperty:
         a, b, bounds, iters = system
         af = quantize_matrix(a, fmt)
         bf = quantize_matrix(b, fmt)
-        stochastic = mode is RoundingMode.STOCHASTIC
         part_gens = [make_stream(3, 9, j) for j in range(bf.cols)]
         single_gens = [make_stream(3, 9, j) for j in range(bf.cols)]
         part_stats, single_stats = SaturationStats(), SaturationStats()
@@ -447,12 +506,10 @@ class TestPartitionProperty:
             for lo, hi in zip(bounds, bounds[1:])
         ]
         single = [
-            lsmr_solve_fixed(
-                af,
-                FixedMatrix(bf.data[:, j : j + 1], fmt),
-                iters,
+            lsmr_solve_multi(
+                LsmrJob.full(af, FixedMatrix(bf.data[:, j : j + 1], fmt), iters),
                 mode=mode,
-                rng=single_gens[j] if stochastic else None,
+                stream_factory=lambda _: single_gens[j],
                 sqrt_path=sqrt_path,
                 stats=single_stats,
             ).data
