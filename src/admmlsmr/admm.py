@@ -30,8 +30,10 @@ from .fixedpoint import (
     RoundingMode,
     SaturationStats,
     make_stream,
+    rekey,
+    stream_keys,
 )
-from .lsmr import SQRT_PATHS, LsmrJob, lsmr_solve_multi, split_ranges
+from .lsmr import SQRT_PATHS, LsmrJob, StreamFactory, lsmr_solve_multi, split_ranges
 from .matrix import quantize_matrix
 
 ARITHMETICS = ("real", "fixed16", "fixed32")
@@ -72,6 +74,7 @@ class NetworkConfig:
         dims = [_integer("layer width", d) for d in self.layer_dims]
         self.iterations = _integer("iterations", self.iterations)
         self.workers = _integer("workers", self.workers)
+        self.seed = _integer("seed", self.seed)
         if self.lsmr_iterations is not None:
             self.lsmr_iterations = _integer("lsmr_iterations", self.lsmr_iterations)
         if len(dims) < 3:
@@ -84,6 +87,10 @@ class NetworkConfig:
             raise ValueError("iterations must be non-negative")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not isinstance(self.rounding, RoundingMode):
+            raise ValueError(f"rounding must be a RoundingMode, got {self.rounding!r}")
         if self.lsmr_iterations is not None and self.lsmr_iterations < 1:
             raise ValueError("lsmr_iterations must be at least 1")
         if self.sqrt_path not in SQRT_PATHS:
@@ -277,11 +284,19 @@ def lagrangian_update(
 class SolveEngine:
     """Runs batched multi-column least-squares jobs for the trainer.
 
-    Owns the quantize/dequantize hop for fixed arithmetic, per-job random
-    streams for stochastic rounding and the saturation count.  A solve runs
+    Owns the quantize/dequantize hop for fixed arithmetic, the random
+    streams of stochastic rounding and the saturation count.  A solve runs
     as one block, or as column ranges in order, on the calling thread; every
     column's solve is independent of the others, so its result, saturation
     count and stream position are those of a standalone one-column solve.
+
+    A stochastic solve with id ``job`` draws from one stream for its
+    quantize hop, ``make_stream(seed, 2, job)``, and one per column ``j``,
+    ``make_stream(seed, 3, job, j)``.  The engine builds neither: it keeps a
+    pool of generators and restarts them under those streams' keys
+    (``rekey``).  A solve derives all its column keys in one
+    ``stream_keys`` pass, and pooled generator ``j`` serves column ``j`` of
+    every solve.
     """
 
     def __init__(self, cfg: NetworkConfig) -> None:
@@ -290,6 +305,10 @@ class SolveEngine:
         self.mode = cfg.rounding
         self._job_counter = 0
         self.saturation = SaturationStats()
+        # the pool: every generator is re-keyed before each use, so how it
+        # was first seeded never shows
+        self._quantize_stream = np.random.Generator(np.random.Philox())
+        self._column_streams: list[np.random.Generator] = []
 
     def _next_job_id(self) -> int:
         self._job_counter += 1
@@ -311,20 +330,19 @@ class SolveEngine:
         if iters is None:
             iters = min(a.shape)
         n, p = a.shape[1], b.shape[1]
-        seed = self.cfg.seed
 
+        stream_factory = None
         if self.fmt is None:
             a_solver: np.ndarray | object = a
             b_solver = b
         else:
             q_rng = None
             if self.mode is RoundingMode.STOCHASTIC:
-                q_rng = make_stream(seed, _TAG_QUANTIZE, job_id)
+                q_key = stream_keys(self.cfg.seed, (_TAG_QUANTIZE, job_id))
+                q_rng = rekey(self._quantize_stream, q_key.tolist())
+                stream_factory = self._round_streams(job_id, p)
             a_solver = quantize_matrix(a, self.fmt, self.mode, q_rng, self.saturation)
             b_solver = quantize_matrix(b, self.fmt, self.mode, q_rng, self.saturation)
-
-        def stream_factory(col: int) -> np.random.Generator:
-            return make_stream(seed, _TAG_ROUND, job_id, col)
 
         out = np.zeros((n, p))
 
@@ -351,6 +369,18 @@ class SolveEngine:
             out[:, start : start + cols.shape[1]] = cols
 
         return tasks, collect, lambda: out, time.perf_counter() - prep_start
+
+    def _round_streams(self, job_id: int, p: int) -> StreamFactory:
+        """The stream factory of a stochastic solve with ``p`` columns.
+
+        All ``p`` keys come from one pass; column ``j`` gets pooled
+        generator ``j``, re-keyed when the solver asks for it, so solves
+        prepared before others ran still start every stream at zero.
+        """
+        keys = stream_keys(self.cfg.seed, (_TAG_ROUND, job_id), np.arange(p)).tolist()
+        pool = self._column_streams
+        pool.extend(np.random.Generator(np.random.Philox()) for _ in range(p - len(pool)))
+        return lambda col: rekey(pool[col], keys[col])
 
     def run_wave(self, prepared) -> tuple[np.ndarray, float]:
         """Run one prepared job's tasks in order.

@@ -9,10 +9,12 @@ import json
 import statistics
 import sys
 
+import numpy as np
+
 from . import data as datamod
 from .admm import NetworkConfig, TrainingDivergedError, TrainReport, train
 from .data import DataError, Dataset
-from .fixedpoint import FIXED16, FIXED32, RoundingMode, convert, value_of
+from .fixedpoint import FIXED16, FIXED32, RoundingMode, convert, stream_keys, value_of
 
 ROUNDINGS = [m.value for m in RoundingMode]
 
@@ -51,7 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p_prof, iters_default=5)
     p_prof.set_defaults(func=cmd_profile)
 
-    p_self = sub.add_parser("selftest", help="bit-exact fixed-point fixtures")
+    p_self = sub.add_parser(
+        "selftest", help="bit-exact fixed-point fixtures and stream-key checks"
+    )
     p_self.set_defaults(func=cmd_selftest)
     return parser
 
@@ -82,6 +86,7 @@ def _add_run_flags(p: argparse.ArgumentParser, iters_default: int = 100) -> None
 
 
 def _load(args) -> tuple[Dataset, dict]:
+    _config(args)  # a bad flag fails here, before any data is read
     if bool(args.data) == bool(args.synthetic):
         raise DataError("provide exactly one of --data or --synthetic")
     if args.data:
@@ -190,7 +195,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    """Bit-pattern fixtures for the word formats; nonzero exit on any miss."""
+    """Bit-pattern fixtures for the word formats and stream keys checked
+    against numpy's ``SeedSequence``; nonzero exit on any miss."""
     checks: list[tuple[str, bool]] = []
 
     w = convert(23.1337890625, FIXED16)
@@ -216,6 +222,14 @@ def cmd_selftest(args) -> int:
     saturated = convert(1e10, FIXED32)
     checks.append(("32-bit conversion saturates at the upper bound",
                    saturated.rep == FIXED32.ubound))
+    # the stream keys re-implement numpy's SeedSequence mixing; check it here
+    for seed, key, col in ((0, (3, 1), 0), (2**32 + 7, (3, 2**33), 119),
+                           (2**70 + 5, (2, 9), 2**32 - 1)):
+        want = np.random.SeedSequence(seed, spawn_key=(*key, col)).generate_state(2, np.uint64)
+        checks.append(
+            (f"stream key of seed {seed}, key {(*key, col)} matches SeedSequence",
+             stream_keys(seed, key, [col])[0].tolist() == want.tolist())
+        )
 
     failed = 0
     for label, ok in checks:

@@ -1,5 +1,6 @@
 """Bit-exact fixed-point array kernels: formats, rounding conversions,
-narrowing casts, truncating division and square roots.
+narrowing casts, truncating division and square roots; and the random
+streams that stochastic rounding draws from.
 
 A value is stored as a two's-complement integer representation (a "rep"); a rep
 ``r`` in a format with ``FL`` fraction bits denotes the real number
@@ -14,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import NamedTuple
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,14 +128,143 @@ def value_of(w: FixedWord) -> float:
     return w.value
 
 
-def make_stream(seed: int, *key: int) -> np.random.Generator:
-    """Counter-based random stream derived from a global seed and a call-site key.
+# -- random streams ----------------------------------------------------------
+#
+# A stream is numpy's Philox generator under a 128-bit key, from counter zero
+# (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011), so
+# the key is all of a stream's state worth deriving.  The key of a seed and a
+# spawn key is the one ``SeedSequence(entropy=seed, spawn_key=key)
+# .generate_state(2, np.uint64)`` gives.  numpy hashes 32-bit entropy words
+# into a pool of four, and its hash constant advances with the number of
+# hash calls alone, never with the data; so keys that differ only in their
+# last word share the mixing of every word before it, and the last words of
+# many keys mix as one uint32 array.  numpy's constants:
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MASK32 = 0xFFFFFFFF
+_ZEROS = (0, 0, 0, 0)
 
-    Distinct keys give statistically independent streams, so concurrent
-    consumers stay reproducible regardless of scheduling.
+
+def _words(value) -> list[int]:
+    """The little-endian 32-bit words of a non-negative integer; zero is one
+    word."""
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"expected non-negative integer, got {value!r}")
+    value = int(value)
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+@lru_cache(maxsize=64)
+def _hash_constants(init: int, mult: int, count: int) -> tuple[int, ...]:
+    """The first ``count`` hash constants: ``init * mult**k mod 2**32``."""
+    consts = [init]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    return tuple(consts)
+
+
+# Both hashes take Python ints or uint32 arrays; an array's products wrap
+# modulo 2**32, as numpy's C code does, and the mask then changes nothing.
+
+def _hashmix(value, const, next_const):
+    """numpy's hash of one word, entered with constant ``const``, which it
+    advances to ``next_const``."""
+    value = (value ^ const) * next_const & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+@lru_cache(maxsize=16)
+def _seeded_pool(first: tuple[int, ...]) -> tuple[int, ...]:
+    """The pool after its first four entropy words: each hashed in, then
+    every word mixed into every other."""
+    c = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + 1)
+    pool = [_hashmix(w, c[i], c[i + 1]) for i, w in enumerate(first)]
+    at = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[at], c[at + 1]))
+                at += 1
+    return tuple(pool)
+
+
+def stream_keys(seed: int, key: Sequence[int] = (), cols=None) -> np.ndarray:
+    """Philox keys of ``SeedSequence(entropy=seed, spawn_key=(*key, c))`` for
+    every ``c`` in ``cols``, as a ``(len(cols), 2)`` uint64 array; with
+    ``cols`` None, the ``(2,)`` key of ``spawn_key=key`` itself.
+
+    The seed and the key words are mixed once, and the column words as one
+    array.  The seed and each key value must be non-negative integers, and
+    each column an integer below 2**32 (one word); anything else raises
+    ``ValueError``.
     """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(ss))
+    # numpy pads a short seed with zeros before a spawn key, and hashes zeros
+    # into the pool words a seed alone leaves empty: one padding serves both
+    words = _words(seed)
+    words += [0] * (_POOL - len(words))
+    for k in key:
+        words += _words(k)
+    pool = list(_seeded_pool(tuple(words[:_POOL])))
+    tail = words[_POOL:]
+    # the first four words took 16 hash calls; every later word takes four
+    at = _POOL * _POOL
+    c = _hash_constants(_INIT_A, _MULT_A, at + _POOL * (len(tail) + 1) + 1)
+    for w in tail:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hashmix(w, c[at], c[at + 1]))
+            at += 1
+    pool = np.array(pool, np.uint32)[:, None]
+    if cols is not None:
+        col_words = np.asarray(cols)
+        if col_words.ndim != 1 or col_words.size and (
+            col_words.dtype.kind not in "iu" or col_words.min() < 0
+            or col_words.max() > _MASK32
+        ):
+            raise ValueError(f"columns must be integers in [0, 2**32), got {cols!r}")
+        # the column word's four hashes, one row each, over all columns
+        hc = np.array(c[at : at + _POOL + 1], np.uint32)[:, None]
+        pool = _mix(pool, _hashmix(col_words.astype(np.uint32), hc[:-1], hc[1:]))
+    hc = np.array(_hash_constants(_INIT_B, _MULT_B, _POOL + 1), np.uint32)[:, None]
+    state = _hashmix(pool, hc[:-1], hc[1:])
+    # numpy joins the words into uint64s little-endian on every platform
+    keys = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+    return keys if cols is not None else keys[0]
+
+
+def rekey(gen: np.random.Generator, key: Sequence[int]) -> np.random.Generator:
+    """Restart ``gen``'s Philox bit generator under ``key`` at counter zero
+    with an empty buffer: the state a new generator under that key starts
+    in.  ``key`` is two ints; a Python list sets them fastest."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
+def make_stream(seed: int, *key: int) -> np.random.Generator:
+    """The counter-based random stream of a global seed and a call-site key:
+    the stream of ``Generator(Philox(SeedSequence(entropy=seed,
+    spawn_key=key)))``, keyed through ``stream_keys``.
+
+    Distinct keys give statistically independent streams, so each consumer
+    of randomness draws from a stream that no other consumer touches.
+    """
+    return rekey(np.random.Generator(np.random.Philox()), stream_keys(seed, key).tolist())
 
 
 def _require_rng(

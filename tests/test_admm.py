@@ -24,7 +24,9 @@ from admmlsmr.admm import (
     z_update_output,
 )
 from admmlsmr.data import Dataset, one_hot
-from admmlsmr.fixedpoint import RoundingMode, make_stream
+from admmlsmr.fixedpoint import FIXED32, RoundingMode, SaturationStats, make_stream
+from admmlsmr.lsmr import LsmrJob, lsmr_solve_multi
+from admmlsmr.matrix import quantize_matrix
 from conftest import (
     grid_min_hidden,
     grid_min_output,
@@ -198,6 +200,17 @@ class TestInit:
         assert (cfg.layer_dims, cfg.iterations, cfg.workers, cfg.lsmr_iterations) == (
             [4, 8, 3], 2, 2, 3
         )
+        # the seed and the rounding mode are checked here, not first in train
+        for bad in (1.5, "3", None):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                NetworkConfig([4, 8, 3], seed=bad)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            NetworkConfig([4, 8, 3], seed=-1)
+        for bad in ("nearest", None):
+            with pytest.raises(ValueError, match="rounding must be a RoundingMode"):
+                NetworkConfig([4, 8, 3], arithmetic="fixed32", rounding=bad)
+        assert NetworkConfig([4, 8, 3], seed=np.uint64(7)).seed == 7
+        assert NetworkConfig([4, 8, 3], seed=2**70).seed == 2**70
 
 
 def make_engine(workers=1, **kw):
@@ -262,6 +275,45 @@ class TestActivationUpdate:
         part1 = gamma * np.eye(6) + beta * w_next.T @ w_next
         part2 = gamma * np.maximum(z_l, 0) + beta * w_next.T @ z_next
         assert np.abs(x - np.linalg.solve(part1, part2)).max() < 1e-6
+
+
+class TestStreamPool:
+    def test_pooled_streams_equal_fresh_streams(self):
+        # One engine's pooled generators serve solves that grow the pool,
+        # shrink back and split into column ranges.  Every solve must equal
+        # a direct one whose quantize stream and column streams are new
+        # generators of the same keys (tag 2 quantizes, tag 3 rounds), in its
+        # solution, its saturation count and each stream's next draw.
+        seed, mode = 21, RoundingMode.STOCHASTIC
+        engine = SolveEngine(
+            NetworkConfig([4, 8, 3], arithmetic="fixed32", rounding=mode, seed=seed)
+        )
+        rng = np.random.default_rng(22)
+        cases = [((30, 4), 8, 1), ((8, 8), 120, 1), ((30, 8), 3, 1)]
+        cases += [((30, 8), 3, workers) for workers in (1, 2, 4)]
+        saturated = 0
+        for (m, n), p, chunks in cases:
+            a = rng.uniform(-1, 1, (m, n)) * 40.0
+            b = rng.uniform(-1, 1, (m, p)) * 40.0
+            before = engine.saturation.events
+            got, _ = engine.run_wave(engine.prepare(a, b, chunks))
+            job_id = engine._job_counter
+
+            stats = SaturationStats()
+            q_rng = make_stream(seed, 2, job_id)
+            aq = quantize_matrix(a, FIXED32, mode, q_rng, stats)
+            bq = quantize_matrix(b, FIXED32, mode, q_rng, stats)
+            gens = [make_stream(seed, 3, job_id, j) for j in range(p)]
+            want = lsmr_solve_multi(LsmrJob.full(aq, bq), mode, gens.__getitem__, stats=stats)
+
+            assert np.array_equal(got, want.to_real())
+            assert engine.saturation.events - before == stats.events
+            assert engine._quantize_stream.random() == q_rng.random()
+            pooled = engine._column_streams[:p]
+            assert [g.random() for g in pooled] == [g.random() for g in gens]
+            saturated += stats.events
+        assert len(engine._column_streams) == 120
+        assert saturated > 0
 
 
 class TestInference:

@@ -141,6 +141,11 @@ class TestErrors:
         code, _, err = run_cli(capsys, *train_args("--lsmr-iters", "0"))
         assert code == 1 and "lsmr_iterations" in err
 
+    def test_negative_seed_exits_1(self, capsys):
+        code, _, err = run_cli(capsys, *train_args("--seed", "-1"))
+        assert code == 1
+        assert err.startswith("error: seed must be non-negative")
+
 
 class TestCompareRounding:
     def test_two_run_sweep(self, capsys):
@@ -189,4 +194,4 @@ class TestSelftest:
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
         assert "FAIL" not in out
-        assert "9/9" in out
+        assert "12/12" in out

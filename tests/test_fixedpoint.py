@@ -27,7 +27,9 @@ from admmlsmr.fixedpoint import (
     float_sqrt_array,
     integer_sqrt_array,
     make_stream,
+    rekey,
     saturating_acc_add,
+    stream_keys,
     trunc_div_array,
     value_of,
 )
@@ -757,3 +759,84 @@ class TestStreams:
     def test_word_value_property(self):
         w = FixedWord(FIXED16.one, FIXED16)
         assert w.value == 1.0
+
+
+def seed_sequence_key(seed, key):
+    """The oracle: numpy's own key derivation."""
+    return np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(2, np.uint64)
+
+
+def plain(state):
+    """A bit generator's state dict with its arrays as lists, for ``==``."""
+    if isinstance(state, dict):
+        return {k: plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+# seeds of one, two, three and more than four 32-bit words
+SEEDS = st.one_of(
+    st.just(0),
+    st.integers(1, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**160),
+)
+KEY_WORDS = st.one_of(st.integers(0, 9), st.integers(2**32, 2**40), st.integers(0, 2**70))
+COLUMNS = st.lists(
+    st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1)), max_size=12
+)
+
+
+class TestStreamKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(SEEDS, st.lists(KEY_WORDS, max_size=3), COLUMNS)
+    @example(0, [3, 1], [0, 1, 2**32 - 1])
+    @example(2**32 - 1, [3, 2**32 + 5], [])
+    @example(2**64 + 3, [2, 2**33], [7])
+    @example(2**128 + 9, [], [0, 5])
+    def test_keys_match_seed_sequence(self, seed, key, cols):
+        # Every column's key equals numpy's SeedSequence with the column as
+        # the last spawn-key word, and the prefix alone equals its own key.
+        got = stream_keys(seed, tuple(key), cols)
+        want = [seed_sequence_key(seed, (*key, c)).tolist() for c in cols]
+        assert got.dtype == np.uint64 and got.shape == (len(cols), 2)
+        assert got.tolist() == want
+        assert stream_keys(seed, tuple(key)).tolist() == seed_sequence_key(seed, tuple(key)).tolist()
+
+    @pytest.mark.parametrize("seed, key", [(0, ()), (5, (3, 7, 2)), (2**64 + 1, (2, 2**33))])
+    def test_rekeyed_generator_is_a_fresh_stream(self, seed, key):
+        # A used generator, restarted under a key, is in the very state of
+        # a new stream of that key (counter, key, buffer and the cached
+        # half-word alike) and draws the same values.
+        gen = make_stream(99, 1)
+        gen.random(5)
+        gen.integers(0, 10, dtype=np.uint32)  # leaves half a word cached
+        assert gen.bit_generator.state["has_uint32"] == 1
+        rekey(gen, stream_keys(seed, key).tolist())
+        fresh = make_stream(seed, *key)
+        oracle = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+        assert plain(gen.bit_generator.state) == plain(oracle.bit_generator.state)
+        assert plain(fresh.bit_generator.state) == plain(oracle.bit_generator.state)
+        want = oracle.random(64).tolist()
+        assert gen.random(64).tolist() == want
+        assert fresh.random(64).tolist() == want
+
+    @pytest.mark.parametrize(
+        "seed, key, cols",
+        [
+            (-1, (), None),
+            (1.5, (), None),
+            ("3", (), None),
+            (0, (3, -1), None),
+            (0, (3, 2.0), None),
+            (0, (3,), [-1]),
+            (0, (3,), [2**32]),
+            (0, (3,), [2**64]),
+            (0, (3,), [1.5]),
+            (0, (3,), 4),
+        ],
+        ids=["negative-seed", "float-seed", "str-seed", "negative-word", "float-word",
+             "negative-col", "two-word-col", "huge-col", "float-col", "scalar-cols"],
+    )
+    def test_bad_input_rejected(self, seed, key, cols):
+        with pytest.raises(ValueError):
+            stream_keys(seed, key, cols)
