@@ -115,6 +115,176 @@ def oracle_stochastic_cast(
     return out
 
 
+# -- the fixed-point solver, one column in Python ints ------------------------------
+
+class OracleWords:
+    """One column's fixed arithmetic in Python ints, with its saturation
+    count and, for stochastic rounding, the column's generator.
+
+    Each method is one word operation of the solver: narrowing a wide
+    product draws one uniform (stochastic) and rounds it as
+    ``oracle_cast_wide`` does; sums, negations, quotients and integer roots
+    saturate at the word bounds; a cell at or beyond a bound counts as one
+    event.
+    """
+
+    def __init__(self, fmt: FixedFormat, mode: RoundingMode, sqrt_path: str, gen=None):
+        if (mode is RoundingMode.STOCHASTIC) != (gen is not None):
+            raise ValueError("stochastic rounding, and only it, takes a generator")
+        self.fmt, self.mode, self.sqrt_path, self.gen = fmt, mode, sqrt_path, gen
+        self.events = 0
+
+    def _saturated(self, v: int, scale: int) -> bool:
+        hit = v >= self.fmt.ubound * scale or v <= self.fmt.lbound * scale
+        self.events += hit
+        return hit
+
+    def word(self, v: int) -> int:
+        """A sum at the word's own resolution, saturated."""
+        self._saturated(v, 1)
+        return min(max(v, self.fmt.lbound), self.fmt.ubound)
+
+    def cast(self, t: int) -> int:
+        """A wide value (2*FL fraction bits) narrowed to a word."""
+        fmt, scale = self.fmt, 1 << self.fmt.fraction_length
+        if self.mode is not RoundingMode.STOCHASTIC:
+            self._saturated(t, scale)
+            return oracle_cast_wide(t, fmt, self.mode)
+        u = Fraction(self.gen.random())  # drawn whether the cell saturates or not
+        if self._saturated(t, scale):
+            return fmt.ubound if t > 0 else fmt.lbound
+        low, diff = divmod(t, scale)
+        return low + (u > 1 - Fraction(diff, scale))
+
+    def mul(self, a: int, b: int) -> int:
+        return self.cast(a * b)
+
+    def add(self, a: int, b: int) -> int:
+        return self.word(a + b)
+
+    def sub(self, a: int, b: int) -> int:
+        return self.word(a - b)
+
+    def neg(self, a: int) -> int:
+        return self.word(-a)
+
+    def div(self, num: int, den: int) -> int:
+        """Truncating ``num / den``, with a zero denominator read as one."""
+        shifted = num << self.fmt.fraction_length
+        assert abs(shifted) < 1 << 53
+        return self.word(oracle_trunc_div(shifted, den or self.fmt.one))
+
+    def sqrt(self, t: int) -> int:
+        """The root of a non-negative wide value: the floor root, or the
+        double root of its value rounded to nearest."""
+        assert t >= 0
+        if self.sqrt_path == "integer":
+            return self.word(math.isqrt(t))
+        root = math.sqrt(float(t) * self.fmt.epsilon**2)
+        self.events += root >= self.fmt.ubound_value
+        return oracle_convert(root, self.fmt, RoundingMode.NEAREST)
+
+    def norm(self, vec: list[int]) -> int:
+        """The root of a column's sum of squares, clamped at the wide bound."""
+        total = sum(v * v for v in vec)
+        if total > self.fmt.wide_ubound:
+            total, self.events = self.fmt.wide_ubound, self.events + 1
+        return self.sqrt(total)
+
+    def matvec(self, a: np.ndarray, vec: list[int]) -> list[int]:
+        """``a @ vec``: saturating wide sums, then one cast per row in order."""
+        sums, events = oracle_mac(a, np.array([vec]).T, self.fmt)
+        self.events += events
+        return [self.cast(row[0]) for row in sums]
+
+
+def oracle_rotation(ar: OracleWords, a: int, b: int) -> tuple[int, int, int]:
+    """One lane's Givens rotation (c, s, r) zeroing ``b``, in the solver's
+    operation order.
+
+    It divides by the larger-magnitude argument, so the ratio lies in
+    [-1, 1]; the root is that of ``1 + tau**2`` held exactly with 2*FL
+    fraction bits.  The (0, 0) lane runs every operation and then returns
+    the identity rotation.
+    """
+    fmt = ar.fmt
+    take_b = abs(b) > abs(a)
+    big, small = (b, a) if take_b else (a, b)
+    tau = ar.div(small, big)
+    sign = fmt.one if big >= 0 else fmt.minus_one
+    lead = ar.div(sign, ar.sqrt((1 << 2 * fmt.fraction_length) + tau * tau))
+    other = ar.mul(lead, tau)
+    r = ar.div(big, lead)
+    if a == 0 and b == 0:
+        return fmt.one, 0, 0
+    return (other, lead, r) if take_b else (lead, other, r)
+
+
+def oracle_lsmr_fixed(
+    a: np.ndarray, b: list[int], iters: int, ar: OracleWords
+) -> list[int]:
+    """The fixed-point solution of ``a x ~= b`` for one column ``b`` of reps.
+
+    Fong & Saunders, "LSMR: An iterative algorithm for sparse least-squares
+    problems" (SIAM J. Sci. Comput. 33(5), 2011), Algorithm 1, truncated at
+    ``iters`` iterations, in the solver's operation order.  Its stopping
+    rule: the column leaves at the top of the iteration after a breakdown (a
+    zero beta or alpha, or a zero ``rho_new`` or quotient denominator), and
+    an iteration with a zero ``rho_new`` or denominator keeps ``x``.  So a
+    stochastic column draws ``n + 1`` uniforms before the loop and
+    ``2m + 5n + 11`` per iteration it runs.  ``ar`` carries the saturation
+    count and the generator.
+    """
+    one = ar.fmt.one
+    at = a.T
+    beta = ar.norm(b)
+    active = beta != 0
+    u = [ar.div(v, beta) for v in b]
+    w = ar.matvec(at, u)
+    alpha = ar.norm(w)
+    active = active and alpha != 0
+    v = [ar.div(t, alpha) for t in w]
+    zetabar = ar.mul(alpha, beta)
+    alphabar = alpha
+    rho = rhobar = cbar = one
+    sbar = 0
+    h = list(v)
+    hbar = [0] * len(v)
+    x = [0] * len(v)
+    for _ in range(iters):
+        if not active:
+            break
+        av = ar.matvec(a, v)
+        s_vec = [ar.sub(p, ar.mul(q, alpha)) for p, q in zip(av, u)]
+        beta = ar.norm(s_vec)
+        u = [ar.div(t, beta) for t in s_vec]
+        atu = ar.matvec(at, u)
+        t_vec = [ar.sub(p, ar.mul(q, beta)) for p, q in zip(atu, v)]
+        alpha = ar.norm(t_vec)
+        v = [ar.div(t, alpha) for t in t_vec]
+
+        c, s, rho_new = oracle_rotation(ar, alphabar, beta)
+        alphabar = ar.mul(c, alpha)
+        theta = ar.mul(s, alpha)
+        cbar, sbar_new, rhobar_new = oracle_rotation(ar, ar.mul(cbar, rho_new), theta)
+        zeta = ar.mul(cbar, zetabar)
+        zetabar = ar.neg(ar.mul(sbar_new, zetabar))
+
+        den_prev = ar.mul(rho, rhobar)
+        den_cur = ar.mul(rho_new, rhobar_new)
+        commit = den_prev != 0 and den_cur != 0 and rho_new != 0
+        coef_hbar = ar.div(ar.mul(ar.mul(sbar, rho_new), rho_new), den_prev)
+        hbar = [ar.sub(p, ar.mul(q, coef_hbar)) for p, q in zip(h, hbar)]
+        coef_x = ar.div(zeta, den_cur)
+        moved = [ar.add(p, ar.mul(q, coef_x)) for p, q in zip(x, hbar)]
+        x = moved if commit else x
+        coef_h = ar.div(theta, rho_new)
+        h = [ar.sub(p, ar.mul(q, coef_h)) for p, q in zip(v, h)]
+        rho, rhobar, sbar = rho_new, rhobar_new, sbar_new
+        active = commit and beta != 0 and alpha != 0
+    return x
+
+
 # -- linear-algebra oracles --------------------------------------------------------
 
 def normal_equations_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

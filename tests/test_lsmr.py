@@ -27,9 +27,12 @@ from admmlsmr.lsmr import (
 )
 from admmlsmr.matrix import FixedMatrix, dequantize_matrix, quantize_matrix
 from conftest import (
+    OracleWords,
     conditioned_system,
     normal_eq_relative_residual,
     normal_equations_solve,
+    oracle_lsmr_fixed,
+    oracle_rotation,
 )
 
 EPS32 = FIXED32.epsilon
@@ -518,3 +521,86 @@ class TestPartitionProperty:
         assert np.array_equal(np.hstack(parts), np.hstack(single))
         assert part_stats.events == single_stats.events
         assert [g.random() for g in part_gens] == [g.random() for g in single_gens]
+
+
+FORMATS = st.sampled_from([FIXED16, FIXED32])
+MODES = st.sampled_from(list(RoundingMode))
+
+
+def oracle_words(fmt, mode, sqrt_path, seed, col) -> OracleWords:
+    """The oracle arithmetic of one column, with its own copy of the
+    column's stream when rounding is stochastic."""
+    gen = make_stream(seed, col) if mode is RoundingMode.STOCHASTIC else None
+    return OracleWords(fmt, mode, sqrt_path, gen)
+
+
+def assert_solve_matches_oracle(a, b, iters, fmt, mode, sqrt_path) -> int:
+    """Solve ``a x ~= b`` (real matrices, quantized to ``fmt``) as one block
+    and check every column against ``oracle_lsmr_fixed``: its solution, the
+    summed saturation count and each stream's next draw.  Returns the count."""
+    af, bf = quantize_matrix(a, fmt), quantize_matrix(b, fmt)
+    gens = [make_stream(5, j) for j in range(bf.cols)]
+    stats = SaturationStats()
+    x = lsmr_solve_multi(
+        LsmrJob.full(af, bf, iters), mode, gens.__getitem__, sqrt_path, stats
+    ).data
+    events = 0
+    for j, gen in enumerate(gens):
+        words = oracle_words(fmt, mode, sqrt_path, 5, j)
+        assert x[:, j].tolist() == oracle_lsmr_fixed(af.data, bf.data[:, j].tolist(), iters, words)
+        events += words.events
+        if words.gen is not None:
+            assert gen.random() == words.gen.random()
+    assert stats.events == events
+    return events
+
+
+class TestOracle:
+    """The fixed solver and its rotations equal the one-column Python-int
+    oracles of conftest, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        partitioned_systems(),
+        st.sampled_from([1.0, 30.0, 3000.0]),
+        FORMATS,
+        MODES,
+        st.sampled_from(SQRT_PATHS),
+    )
+    def test_solve(self, system, scale, fmt, mode, sqrt_path):
+        # rank-deficient, consistent and zero columns come from the system
+        # strategy; the larger scales saturate quotients, norms and products
+        a, b, _, iters = system
+        assert_solve_matches_oracle(a * scale, b * scale, iters, fmt, mode, sqrt_path)
+
+    @pytest.mark.parametrize("sqrt_path", SQRT_PATHS)
+    @pytest.mark.parametrize("mode", list(RoundingMode), ids=[m.value for m in RoundingMode])
+    @pytest.mark.parametrize("fmt", [FIXED16, FIXED32], ids=["fixed16", "fixed32"])
+    def test_saturating_solve(self, fmt, mode, sqrt_path):
+        rng = np.random.default_rng(19)
+        scale = fmt.ubound_value / 2
+        a = rng.uniform(-scale, scale, (8, 4))
+        b = rng.uniform(-scale, scale, (8, 3))
+        assert assert_solve_matches_oracle(a, b, 4, fmt, mode, sqrt_path) > 0
+
+    @pytest.mark.parametrize("sqrt_path", SQRT_PATHS)
+    @pytest.mark.parametrize("mode", list(RoundingMode), ids=[m.value for m in RoundingMode])
+    @pytest.mark.parametrize("fmt", [FIXED16, FIXED32], ids=["fixed16", "fixed32"])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_rotation(self, fmt, mode, sqrt_path, seed):
+        # every lane of one call: its (c, s, r), the saturation count (the
+        # bound-valued lanes saturate) and its stream's next draw
+        a, b = rotation_lanes(fmt, seed)
+        gens = [make_stream(6, j) for j in range(a.size)]
+        streams = ColumnStreams(gens, 1) if mode is RoundingMode.STOCHASTIC else None
+        stats = SaturationStats()
+        got = rotate(_FixedOps(fmt, mode, streams, sqrt_path, stats), a, b)
+        events = 0
+        for j, gen in enumerate(gens):
+            words = oracle_words(fmt, mode, sqrt_path, 6, j)
+            assert got[:, j].tolist() == list(oracle_rotation(words, int(a[j]), int(b[j])))
+            events += words.events
+            if words.gen is not None:
+                assert gen.random() == words.gen.random()
+        assert stats.events == events > 0
