@@ -16,6 +16,7 @@ dequantized back.
 """
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -476,45 +477,50 @@ def train(
     engine = SolveEngine(cfg)
     wall_start = time.perf_counter()
 
-    for _ in range(cfg.iterations):
-        timings = IterationTimings()
-        sat_before = engine.saturation.events
-        for l in range(n_layers - 1):
-            x_prev = state.x0 if l == 0 else state.x[l - 1]
-            state.weights[l], secs = weight_update(state.z[l], x_prev, engine)
-            timings.weight += secs
-            state.x[l], secs = activation_update(
-                state.weights[l + 1], state.z[l + 1], state.z[l],
-                betas[l + 1], gammas[l], engine,
+    # In real arithmetic an overflow or an invalid operation ends the run:
+    # the state it leaves behind can look finite (a column norm that
+    # overflows to inf zeroes its solution) and still be no solution.
+    real = cfg.arithmetic == "real"
+    with np.errstate(**_DIVERGE) if real else contextlib.nullcontext():
+        for _ in range(cfg.iterations):
+            timings = IterationTimings()
+            sat_before = engine.saturation.events
+            for l in range(n_layers - 1):
+                x_prev = state.x0 if l == 0 else state.x[l - 1]
+                state.weights[l], secs = weight_update(state.z[l], x_prev, engine)
+                timings.weight += secs
+                state.x[l], secs = activation_update(
+                    state.weights[l + 1], state.z[l + 1], state.z[l],
+                    betas[l + 1], gammas[l], engine,
+                )
+                timings.activation += secs
+
+                t0 = time.perf_counter()
+                state.z[l] = z_update_hidden(
+                    state.x[l], state.weights[l] @ x_prev, gammas[l], betas[l]
+                )
+                timings.output += time.perf_counter() - t0
+
+            # output layer: weight solve, closed-form z, multiplier ascent
+            x_prev = state.x[-1]
+            state.weights[-1], secs = weight_update(
+                state.z[-1], x_prev, engine, min(cfg.workers, state.z[-1].shape[0])
             )
-            timings.activation += secs
+            timings.weight += secs
 
             t0 = time.perf_counter()
-            state.z[l] = z_update_hidden(
-                state.x[l], state.weights[l] @ x_prev, gammas[l], betas[l]
-            )
+            b_out = state.weights[-1] @ x_prev
+            state.z[-1] = z_update_output(y, b_out, state.lam, betas[-1])
             timings.output += time.perf_counter() - t0
 
-        # output layer: weight solve, closed-form z, multiplier ascent
-        x_prev = state.x[-1]
-        state.weights[-1], secs = weight_update(
-            state.z[-1], x_prev, engine, min(cfg.workers, state.z[-1].shape[0])
-        )
-        timings.weight += secs
+            t0 = time.perf_counter()
+            state.lam = lagrangian_update(state.lam, betas[-1], state.z[-1], b_out)
+            timings.lagrangian += time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        b_out = state.weights[-1] @ x_prev
-        state.z[-1] = z_update_output(y, b_out, state.lam, betas[-1])
-        timings.output += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        state.lam = lagrangian_update(state.lam, betas[-1], state.z[-1], b_out)
-        timings.lagrangian += time.perf_counter() - t0
-
-        report.timings.append(timings)
-        report.saturation_per_iteration.append(engine.saturation.events - sat_before)
-        if cfg.arithmetic == "real":
-            _check_finite(state)
+            report.timings.append(timings)
+            report.saturation_per_iteration.append(engine.saturation.events - sat_before)
+            if real:
+                _check_finite(state)
     report.wall_seconds = time.perf_counter() - wall_start
 
     outputs = predict(state.weights, x0)
@@ -524,6 +530,16 @@ def train(
             predict(state.weights, test_set.features), test_set.labels
         )
     return state, report
+
+
+def _diverged(kind: str, _flag: int) -> None:
+    raise TrainingDivergedError(
+        f"floating-point {kind} in real arithmetic; "
+        "try smaller penalties or fewer iterations"
+    )
+
+
+_DIVERGE = dict(divide="call", over="call", invalid="call", call=_diverged)
 
 
 def _check_finite(state: NetworkState) -> None:

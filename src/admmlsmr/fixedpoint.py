@@ -53,9 +53,10 @@ class FixedFormat:
     def __post_init__(self) -> None:
         if self.word_length not in (16, 32):
             raise FixedFormatError(f"word_length must be 16 or 32, got {self.word_length}")
-        if not 0 < self.fraction_length < self.word_length:
+        if not 0 < self.fraction_length < self.word_length - 1:
             raise FixedFormatError(
-                f"fraction_length must lie in (0, {self.word_length}), got {self.fraction_length}"
+                f"fraction_length must lie in (0, {self.word_length - 1}), "
+                f"got {self.fraction_length}"
             )
 
     @property
@@ -315,7 +316,15 @@ def convert_array(
     y = np.empty_like(x)  # the out= arrays keep 0-d results arrays
     if _count_saturated(x, fmt.ubound_value, fmt.lbound_value, stats):
         x = _clamp(x, fmt.lbound_value, fmt.ubound_value, y)
-    np.multiply(x, float(1 << fmt.fraction_length), out=y)
+    return _round_scaled(np.multiply(x, float(1 << fmt.fraction_length), out=y), mode, rng)
+
+
+def _round_scaled(
+    y: np.ndarray, mode: RoundingMode, rng: np.random.Generator | None = None
+) -> np.ndarray:
+    """``convert_array``'s rounding, unchecked: the float64 array ``y``
+    holds values in units of 2**-FL (the reps before rounding), each one
+    within the format's bounds.  ``y`` is overwritten."""
     low = np.floor(y, out=np.empty_like(y))
     rep = low.astype(np.int64)
     if mode is RoundingMode.DOWN:
@@ -326,7 +335,7 @@ def convert_array(
     elif mode is RoundingMode.NEAREST:
         rep += frac >= 0.5
     else:
-        rep += rng.random(x.shape) > 1.0 - frac
+        rep += rng.random(y.shape) > 1.0 - frac
     return rep
 
 
@@ -513,7 +522,8 @@ def trunc_div_array(num: np.ndarray, den: np.ndarray | int) -> np.ndarray:
     """C-style integer division: truncates toward zero.  ``den`` must be
     non-zero, and ``|num| < 2**53`` or ``ValueError`` is raised.  Its one
     caller, ``_FixedOps.div``, reads a zero divisor as one before it calls
-    this, so no solve passes zero.
+    this, so no solve passes zero.  The fixed Givens rotation calls the
+    unchecked core, ``_trunc_div``, whose operands its ranges bound.
 
     The int64 result is ``trunc(float64(num) / float64(den))``, which is
     exact.  ``num`` converts exactly, and so does ``den`` when
@@ -528,6 +538,12 @@ def trunc_div_array(num: np.ndarray, den: np.ndarray | int) -> np.ndarray:
     """
     if np.abs(num).max(initial=0) >= _FLOAT64_EXACT:
         raise ValueError("a numerator of 2**53 or more is not exact in float64")
+    return _trunc_div(num, den)
+
+
+def _trunc_div(num: np.ndarray, den: np.ndarray | int) -> np.ndarray:
+    """``trunc_div_array``, unchecked: ``den`` must be non-zero and
+    ``|num| < 2**53``."""
     return np.asarray(num / den).astype(np.int64)
 
 
@@ -545,8 +561,16 @@ def float_sqrt_array(
     """
     if (t < 0).any():
         raise ValueError("square root of a negative value")
-    value = t.astype(np.float64) * (fmt.epsilon * fmt.epsilon)
-    return convert_array(np.sqrt(value), fmt, RoundingMode.NEAREST, stats=stats)
+    return convert_array(_float_root(t) * fmt.epsilon, fmt, RoundingMode.NEAREST, stats=stats)
+
+
+def _float_root(t: np.ndarray) -> np.ndarray:
+    """The IEEE roots of non-negative wide values (2*FL fraction bits) in
+    units of 2**-FL: ``sqrt(t * 2**-2FL) * 2**FL``, which is exactly
+    ``sqrt(t)``, since scaling by an even power of two commutes with a
+    correctly rounded root.  ``_round_scaled`` rounds them unchecked when
+    every root is known to lie inside the bounds."""
+    return np.sqrt(t.astype(np.float64))
 
 
 _ISQRT_INT64_MAX = math.isqrt(_INT64_MAX)  # 3037000499

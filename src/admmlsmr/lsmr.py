@@ -20,6 +20,10 @@ from .fixedpoint import (
     RoundingMode,
     SaturationStats,
     _check_fmt,
+    _float_root,
+    _isqrt_array,
+    _round_scaled,
+    _trunc_div,
     cast_wide_array,
     cast_wide_simple_array,
     float_sqrt_array,
@@ -77,9 +81,27 @@ class _RealOps:
         rows = np.ascontiguousarray(cols.T, dtype=np.float64)
         return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
-    def hypot1(self, tau: np.ndarray) -> np.ndarray:
-        """``sqrt(1 + tau**2)``."""
-        return np.sqrt(1.0 + tau * tau)
+    def rotate(
+        self, a: np.ndarray, b: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stable Givens rotations (c, s, r) zeroing ``b``, one per lane.
+
+        Divides by the larger-magnitude argument so the ratio stays in
+        [-1, 1].  The degenerate (0, 0) input returns the identity rotation.
+        """
+        take_b = np.abs(b) > np.abs(a)
+        big = np.where(take_b, b, a)
+        small = np.where(take_b, a, b)
+        tau = self.div(small, big)
+        sign = np.where(big >= 0, self.one, self.minus_one)
+        lead = self.div(sign, np.sqrt(1.0 + tau * tau))
+        other = self.mul(lead, tau)
+        r = self.div(big, lead)
+        degenerate = (a == 0) & (b == 0)
+        c = np.where(degenerate, self.one, np.where(take_b, other, lead))
+        s = np.where(degenerate, self.zero, np.where(take_b, lead, other))
+        r = np.where(degenerate, self.zero, r)
+        return c, s, r
 
 
 class _FixedOps:
@@ -106,8 +128,11 @@ class _FixedOps:
         self.col_rngs = col_rngs
         self.sqrt_path = sqrt_path
         self.stats = stats
-        self.one = np.int64(fmt.one)
-        self.minus_one = np.int64(fmt.minus_one)
+        # 0-d arrays: numpy combines them with arrays faster than scalars
+        self.one = np.array(fmt.one)
+        self._fl = np.array(fmt.fraction_length)
+        self._one_wide = np.array(fmt.one << fmt.fraction_length)
+        self._minus_one_wide = -self._one_wide
 
     def cast(self, wide: np.ndarray) -> np.ndarray:
         return cast_wide_array(
@@ -120,7 +145,7 @@ class _FixedOps:
     def div(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
         """Truncating ``num / den``, with a zero denominator read as one."""
         den = np.where(den == 0, self.one, den)
-        q = trunc_div_array(num << self.fmt.fraction_length, den)
+        q = trunc_div_array(num << self._fl, den)
         return cast_wide_simple_array(q, self.fmt, self.stats)
 
     def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -138,43 +163,52 @@ class _FixedOps:
     def norm_cols(self, reps: np.ndarray) -> np.ndarray:
         return self._sqrt_wide(sum_squares_wide(reps, self.fmt, self.stats))
 
-    def hypot1(self, tau: np.ndarray) -> np.ndarray:
-        """``sqrt(1 + tau**2)``, with ``1 + tau**2`` held exactly in the wide
-        container (2*FL fraction bits)."""
-        return self._sqrt_wide((1 << (2 * self.fmt.fraction_length)) + tau * tau)
-
     def _sqrt_wide(self, wide: np.ndarray) -> np.ndarray:
         if self.sqrt_path == "float":
             return float_sqrt_array(wide, self.fmt, self.stats)
         return integer_sqrt_array(wide, self.fmt, self.stats)
 
+    def rotate(
+        self, a: np.ndarray, b: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The real rotation's word operations, in its order: ``tau``,
+        ``h = sqrt(1 + tau**2)``, ``lead = sign / h``, ``other = lead * tau``
+        and ``r = big / lead``, each with ``div``'s, the root's and ``mul``'s
+        rounding.  Only the checks that these ranges make dead are skipped,
+        so every bit, saturation count and draw is ``div``'s and the root's.
+
+        - ``|small| <= |big|``, so ``|tau| <= one``: its narrowing cannot
+          saturate.  Its zero guard is live: ``big`` is 0 on a (0, 0) lane.
+        - ``one**2 <= one**2 + tau**2 <= 2 one**2`` (held exactly with 2*FL
+          fraction bits), so ``one <= h <= sqrt(2) one``: the root is never
+          negative, NaN or saturated, since ``sqrt(2) one`` is below the
+          upper bound when the format has an integer bit beside the sign.
+        - ``h >= one``, so ``lead``'s divisor is never zero, ``|lead| <= one``
+          cannot saturate, and ``|lead| >= one/sqrt(2)`` about, so ``r``'s
+          divisor is never zero either.
+        - Every numerator is a rep shifted by FL, below 2**49, so each
+          float64 quotient is exact without the 2**53 check.
+        - ``|r|`` reaches about ``sqrt(2) |big|``: its clamp and count stay.
+        - A (0, 0) lane gets ``tau = 0``, ``h = lead = one`` and
+          ``other = r = 0``, the identity rotation, with no mask.
+        """
+        fl = self._fl
+        take_b = np.abs(b) > np.abs(a)
+        big = np.where(take_b, b, a)
+        small = np.where(take_b, a, b)
+        tau = _trunc_div(small << fl, np.where(big == 0, self.one, big))
+        wide = self._one_wide + tau * tau
+        if self.sqrt_path == "float":
+            h = _round_scaled(_float_root(wide), RoundingMode.NEAREST)
+        else:
+            h = _isqrt_array(wide)
+        lead = _trunc_div(np.where(big >= 0, self._one_wide, self._minus_one_wide), h)
+        other = self.mul(lead, tau)
+        r = cast_wide_simple_array(_trunc_div(big << fl, lead), self.fmt, self.stats)
+        return np.where(take_b, other, lead), np.where(take_b, lead, other), r
+
 
 Ops = _RealOps | _FixedOps
-
-
-# -- Givens rotations ----------------------------------------------------------
-
-def _sym_cols(
-    ops: Ops, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stable Givens rotations (c, s, r) zeroing ``b``, one per lane.
-
-    Divides by the larger-magnitude argument so the ratio stays in [-1, 1].
-    The degenerate (0, 0) input returns the identity rotation.
-    """
-    take_b = np.abs(b) > np.abs(a)
-    big = np.where(take_b, b, a)
-    small = np.where(take_b, a, b)
-    tau = ops.div(small, big)
-    sign = np.where(big >= 0, ops.one, ops.minus_one)
-    lead = ops.div(sign, ops.hypot1(tau))
-    other = ops.mul(lead, tau)
-    r = ops.div(big, lead)
-    degenerate = (a == 0) & (b == 0)
-    c = np.where(degenerate, ops.one, np.where(take_b, other, lead))
-    s = np.where(degenerate, ops.zero, np.where(take_b, lead, other))
-    r = np.where(degenerate, ops.zero, r)
-    return c, s, r
 
 
 # -- the recurrence --------------------------------------------------------------
@@ -240,10 +274,10 @@ def _solve_block(
         alpha = ops.norm_cols(t_vec)
         v = ops.div(t_vec, alpha)
 
-        c, s, rho_new = _sym_cols(ops, alphabar, beta)
+        c, s, rho_new = ops.rotate(alphabar, beta)
         alphabar = ops.mul(c, alpha)
         theta = ops.mul(s, alpha)
-        cbar, sbar_new, rhobar_new = _sym_cols(ops, ops.mul(cbar, rho_new), theta)
+        cbar, sbar_new, rhobar_new = ops.rotate(ops.mul(cbar, rho_new), theta)
         zeta = ops.mul(cbar, zetabar)
         zetabar = ops.neg(ops.mul(sbar_new, zetabar))
 

@@ -474,6 +474,15 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(NetworkConfig([4, 6, 5], iterations=1), ds)
 
+    @pytest.mark.parametrize("penalty", [1e200, 1e300])
+    def test_overflowing_real_run_diverges(self, penalty):
+        # A column norm overflows to inf, which would zero its solution and
+        # leave a finite state: the overflow itself must end the run.
+        ds = tiny_dataset(n=30, classes=2)
+        cfg = NetworkConfig([4, 3, 2], iterations=2, beta=penalty, gamma=penalty)
+        with pytest.raises(TrainingDivergedError, match="overflow"):
+            train(cfg, ds)
+
     def test_divergence_detector(self):
         ds = tiny_dataset()
         cfg = NetworkConfig([4, 6, 3], iterations=0)

@@ -137,6 +137,18 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error: non-finite values")
 
+    def test_overflowing_real_run_exits_1(self, capsys):
+        # no report, no warning: one error line
+        code, out, err = run_cli(
+            capsys, "train", "--synthetic", "4,30,2", "--arch", "4,3,2",
+            "--iters", "2", "--beta", "1e300", "--gamma", "1e300",
+        )
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: floating-point overflow in real arithmetic; "
+            "try smaller penalties or fewer iterations"
+        ]
+
     def test_zero_lsmr_iterations_exits_1(self, capsys):
         code, _, err = run_cli(capsys, *train_args("--lsmr-iters", "0"))
         assert code == 1 and "lsmr_iterations" in err

@@ -194,7 +194,10 @@ class TestFormat:
         assert FIXED32.ubound_value == 2.0**13 - 2.0**-18
         assert FIXED32.lbound_value == -(2.0**13)
 
-    @pytest.mark.parametrize("wl,fl", [(16, 0), (16, 16), (32, 40), (8, 4), (64, 18)])
+    # a word of sign and fraction bits only cannot hold one: (16, 15), (32, 31)
+    @pytest.mark.parametrize(
+        "wl,fl", [(16, 0), (16, 15), (16, 16), (32, 31), (32, 40), (8, 4), (64, 18)]
+    )
     def test_invalid_formats_rejected(self, wl, fl):
         with pytest.raises(FixedFormatError):
             FixedFormat(wl, fl)
