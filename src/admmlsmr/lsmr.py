@@ -5,7 +5,11 @@ stopping rules.  One recurrence serves both arithmetics: it advances a block
 of right-hand-side columns together against an ops object that supplies the
 arithmetic, and keeps every column independent of the others, so any split
 of the columns into blocks gives bit-identical results, saturation counts
-and stream positions.
+and stream positions.  Each ops object also supplies the recurrence's two
+Givens rotations per iteration (``rotate``).  The fixed one runs the word
+operations of the real one in the same order, calling the unchecked cores
+of the division and root kernels where the rotation's ranges make their
+checks dead, so it computes the bits those kernels would.
 """
 from __future__ import annotations
 
@@ -171,11 +175,13 @@ class _FixedOps:
     def rotate(
         self, a: np.ndarray, b: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The real rotation's word operations, in its order: ``tau``,
-        ``h = sqrt(1 + tau**2)``, ``lead = sign / h``, ``other = lead * tau``
-        and ``r = big / lead``, each with ``div``'s, the root's and ``mul``'s
-        rounding.  Only the checks that these ranges make dead are skipped,
-        so every bit, saturation count and draw is ``div``'s and the root's.
+        """Stable Givens rotations (c, s, r) zeroing ``b``, one per lane: the
+        word operations of ``_RealOps.rotate`` in its order (``tau = small /
+        big``, ``h = sqrt(1 + tau**2)``, ``lead = sign / h``, ``other = lead *
+        tau``, ``r = big / lead``) with the rounding of ``div``,
+        ``_sqrt_wide`` and ``mul``.  The quotients and the root call the
+        unchecked kernel cores where these ranges make a check dead, so every
+        bit, saturation count and draw equals the checked kernels':
 
         - ``|small| <= |big|``, so ``|tau| <= one``: its narrowing cannot
           saturate.  Its zero guard is live: ``big`` is 0 on a (0, 0) lane.
@@ -183,9 +189,9 @@ class _FixedOps:
           fraction bits), so ``one <= h <= sqrt(2) one``: the root is never
           negative, NaN or saturated, since ``sqrt(2) one`` is below the
           upper bound when the format has an integer bit beside the sign.
-        - ``h >= one``, so ``lead``'s divisor is never zero, ``|lead| <= one``
-          cannot saturate, and ``|lead| >= one/sqrt(2)`` about, so ``r``'s
-          divisor is never zero either.
+        - ``h >= one``, so ``lead``'s divisor is never zero and
+          ``|lead| <= one`` cannot saturate; ``|lead|`` is about
+          ``one/sqrt(2)`` or more, so ``r``'s divisor is never zero either.
         - Every numerator is a rep shifted by FL, below 2**49, so each
           float64 quotient is exact without the 2**53 check.
         - ``|r|`` reaches about ``sqrt(2) |big|``: its clamp and count stay.
