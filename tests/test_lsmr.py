@@ -525,10 +525,6 @@ class TestPartitionProperty:
         assert [g.random() for g in part_gens] == [g.random() for g in single_gens]
 
 
-FORMATS = st.sampled_from([FIXED16, FIXED32])
-MODES = st.sampled_from(list(RoundingMode))
-
-
 def oracle_words(fmt, mode, sqrt_path, seed, col) -> OracleWords:
     """The oracle arithmetic of one column, with its own copy of the
     column's stream when rounding is stochastic."""
@@ -565,8 +561,8 @@ class TestOracle:
     @given(
         partitioned_systems(),
         st.sampled_from([1.0, 30.0, 3000.0]),
-        FORMATS,
-        MODES,
+        st.sampled_from([FIXED16, FIXED32]),
+        st.sampled_from(list(RoundingMode)),
         st.sampled_from(SQRT_PATHS),
     )
     def test_solve(self, system, scale, fmt, mode, sqrt_path):
