@@ -481,7 +481,7 @@ def train(
     # the state it leaves behind can look finite (a column norm that
     # overflows to inf zeroes its solution) and still be no solution.
     real = cfg.arithmetic == "real"
-    with np.errstate(**_DIVERGE) if real else contextlib.nullcontext():
+    with _diverge_on_fp_error() if real else contextlib.nullcontext():
         for _ in range(cfg.iterations):
             timings = IterationTimings()
             sat_before = engine.saturation.events
@@ -532,14 +532,19 @@ def train(
     return state, report
 
 
-def _diverged(kind: str, _flag: int) -> None:
-    raise TrainingDivergedError(
-        f"floating-point {kind} in real arithmetic; "
-        "try smaller penalties or fewer iterations"
-    )
-
-
-_DIVERGE = dict(divide="call", over="call", invalid="call", call=_diverged)
+@contextlib.contextmanager
+def _diverge_on_fp_error():
+    """Raise numpy's floating-point errors, the solver's included, and end
+    the run on one as ``TrainingDivergedError``."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        kind = str(exc).split(" encountered")[0]  # "overflow", "divide by zero", ...
+        raise TrainingDivergedError(
+            f"floating-point {kind} in real arithmetic; "
+            "try smaller penalties or fewer iterations"
+        ) from exc
 
 
 def _check_finite(state: NetworkState) -> None:

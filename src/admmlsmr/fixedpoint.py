@@ -515,15 +515,13 @@ def _check_fmt(a, b) -> FixedFormat:
     return a.fmt
 
 
-_FLOAT64_EXACT = 1 << 53  # every integer of smaller magnitude is a double
-
-
 def trunc_div_array(num: np.ndarray, den: np.ndarray | int) -> np.ndarray:
-    """C-style integer division: truncates toward zero.  ``den`` must be
-    non-zero, and ``|num| < 2**53`` or ``ValueError`` is raised.  Its one
-    caller, ``_FixedOps.div``, reads a zero divisor as one before it calls
-    this, so no solve passes zero.  The fixed Givens rotation calls the
-    unchecked core, ``_trunc_div``, whose operands its ranges bound.
+    """C-style integer division: truncates toward zero.  Preconditions,
+    unchecked: ``den`` is non-zero and ``|num| < 2**53``.  Its callers are
+    ``_FixedOps.div``, which reads a zero divisor as one, and the fixed
+    Givens rotation, whose ranges keep its divisors non-zero; each numerator
+    there is a word rep shifted by FL, below 2**49 in FIXED32 and 2**25 in
+    FIXED16.
 
     The int64 result is ``trunc(float64(num) / float64(den))``, which is
     exact.  ``num`` converts exactly, and so does ``den`` when
@@ -533,17 +531,8 @@ def trunc_div_array(num: np.ndarray, den: np.ndarray | int) -> np.ndarray:
     the rounding error is at most ``|num|/|den| * 2**-53 < 1/|den|``, so the
     rounded quotient stays strictly between the same two integers.  When
     ``|den| >= 2**53 > |num|`` the quotient, exact or rounded, is below one
-    in magnitude and truncates to zero.  Word reps shifted by FL stay below
-    2**49 in FIXED32 and 2**25 in FIXED16.
+    in magnitude and truncates to zero.
     """
-    if np.abs(num).max(initial=0) >= _FLOAT64_EXACT:
-        raise ValueError("a numerator of 2**53 or more is not exact in float64")
-    return _trunc_div(num, den)
-
-
-def _trunc_div(num: np.ndarray, den: np.ndarray | int) -> np.ndarray:
-    """``trunc_div_array``, unchecked: ``den`` must be non-zero and
-    ``|num| < 2**53``."""
     return np.asarray(num / den).astype(np.int64)
 
 
@@ -552,25 +541,17 @@ def _trunc_div(num: np.ndarray, den: np.ndarray | int) -> np.ndarray:
 def float_sqrt_array(
     t: np.ndarray, fmt: FixedFormat, stats: "SaturationStats | None" = None
 ) -> np.ndarray:
-    """Square roots of int64 wide sums of squares (2*FL fraction bits, must
-    be >= 0) via double arithmetic.
+    """Square roots of int64 wide sums of squares (2*FL fraction bits, >= 0
+    unchecked) via double arithmetic.
 
     Converts each wide value to a double, takes the IEEE sqrt and quantizes
-    back with nearest rounding, saturating at the upper bound.  This is the
-    default norm path.
-    """
-    if (t < 0).any():
-        raise ValueError("square root of a negative value")
-    return convert_array(_float_root(t) * fmt.epsilon, fmt, RoundingMode.NEAREST, stats=stats)
-
-
-def _float_root(t: np.ndarray) -> np.ndarray:
-    """The IEEE roots of non-negative wide values (2*FL fraction bits) in
-    units of 2**-FL: ``sqrt(t * 2**-2FL) * 2**FL``, which is exactly
+    back with nearest rounding, saturating at the upper bound.  In units of
+    2**-FL the root is ``sqrt(t * 2**-2FL) * 2**FL``, which is exactly
     ``sqrt(t)``, since scaling by an even power of two commutes with a
-    correctly rounded root.  ``_round_scaled`` rounds them unchecked when
-    every root is known to lie inside the bounds."""
-    return np.sqrt(t.astype(np.float64))
+    correctly rounded root.  This is the default norm path.
+    """
+    root = np.sqrt(t.astype(np.float64))
+    return convert_array(root * fmt.epsilon, fmt, RoundingMode.NEAREST, stats=stats)
 
 
 _ISQRT_INT64_MAX = math.isqrt(_INT64_MAX)  # 3037000499
@@ -596,14 +577,12 @@ def integer_sqrt_array(
     t: np.ndarray, fmt: FixedFormat, stats: "SaturationStats | None" = None
 ) -> np.ndarray:
     """Floor square roots of int64 wide sums of squares (2*FL fraction bits,
-    must be >= 0).
+    >= 0 unchecked).
 
     Because sqrt(v * 2**-2FL) = sqrt(v) * 2**-FL, the integer square root of
     a wide rep is directly the FL-fraction result; roots beyond the upper
     bound saturate.
     """
-    if (t < 0).any():
-        raise ValueError("square root of a negative value")
     return cast_wide_simple_array(_isqrt_array(t), fmt, stats)
 
 

@@ -7,9 +7,10 @@ arithmetic, and keeps every column independent of the others, so any split
 of the columns into blocks gives bit-identical results, saturation counts
 and stream positions.  Each ops object also supplies the recurrence's two
 Givens rotations per iteration (``rotate``).  The fixed one runs the word
-operations of the real one in the same order, calling the unchecked cores
-of the division and root kernels where the rotation's ranges make their
-checks dead, so it computes the bits those kernels would.
+operations of the real one in the same order, and skips only the clamps and
+guards that the rotation's ranges make dead, so it computes the bits the
+generic word operations would.  Fixed operands are checked once, where
+they enter: a ``FixedMatrix`` holds in-range reps only.
 """
 from __future__ import annotations
 
@@ -24,10 +25,8 @@ from .fixedpoint import (
     RoundingMode,
     SaturationStats,
     _check_fmt,
-    _float_root,
     _isqrt_array,
     _round_scaled,
-    _trunc_div,
     cast_wide_array,
     cast_wide_simple_array,
     float_sqrt_array,
@@ -179,9 +178,9 @@ class _FixedOps:
         word operations of ``_RealOps.rotate`` in its order (``tau = small /
         big``, ``h = sqrt(1 + tau**2)``, ``lead = sign / h``, ``other = lead *
         tau``, ``r = big / lead``) with the rounding of ``div``,
-        ``_sqrt_wide`` and ``mul``.  The quotients and the root call the
-        unchecked kernel cores where these ranges make a check dead, so every
-        bit, saturation count and draw equals the checked kernels':
+        ``_sqrt_wide`` and ``mul``.  It skips only the guards and clamps
+        that these ranges make dead, so every bit, saturation count and draw
+        equals the generic operations':
 
         - ``|small| <= |big|``, so ``|tau| <= one``: its narrowing cannot
           saturate.  Its zero guard is live: ``big`` is 0 on a (0, 0) lane.
@@ -192,8 +191,8 @@ class _FixedOps:
         - ``h >= one``, so ``lead``'s divisor is never zero and
           ``|lead| <= one`` cannot saturate; ``|lead|`` is about
           ``one/sqrt(2)`` or more, so ``r``'s divisor is never zero either.
-        - Every numerator is a rep shifted by FL, below 2**49, so each
-          float64 quotient is exact without the 2**53 check.
+        - Every numerator is a rep shifted by FL, below 2**49, which meets
+          ``trunc_div_array``'s precondition ``|num| < 2**53``.
         - ``|r|`` reaches about ``sqrt(2) |big|``: its clamp and count stay.
         - A (0, 0) lane gets ``tau = 0``, ``h = lead = one`` and
           ``other = r = 0``, the identity rotation, with no mask.
@@ -202,15 +201,15 @@ class _FixedOps:
         take_b = np.abs(b) > np.abs(a)
         big = np.where(take_b, b, a)
         small = np.where(take_b, a, b)
-        tau = _trunc_div(small << fl, np.where(big == 0, self.one, big))
+        tau = trunc_div_array(small << fl, np.where(big == 0, self.one, big))
         wide = self._one_wide + tau * tau
         if self.sqrt_path == "float":
-            h = _round_scaled(_float_root(wide), RoundingMode.NEAREST)
+            h = _round_scaled(np.sqrt(wide.astype(np.float64)), RoundingMode.NEAREST)
         else:
             h = _isqrt_array(wide)
-        lead = _trunc_div(np.where(big >= 0, self._one_wide, self._minus_one_wide), h)
+        lead = trunc_div_array(np.where(big >= 0, self._one_wide, self._minus_one_wide), h)
         other = self.mul(lead, tau)
-        r = cast_wide_simple_array(_trunc_div(big << fl, lead), self.fmt, self.stats)
+        r = cast_wide_simple_array(trunc_div_array(big << fl, lead), self.fmt, self.stats)
         return np.where(take_b, other, lead), np.where(take_b, lead, other), r
 
 
@@ -401,12 +400,15 @@ def lsmr_solve_multi(
     the streams are drawn in those blocks and end just past the uniforms the
     column used.  A fixed system and its transpose are prepared once per
     solve (``PreparedOperand``), since retiring lanes only slice the
-    right-hand-side vectors.
+    right-hand-side vectors.  A real solve raises ``FloatingPointError`` on
+    overflow, division by zero or an invalid operation, rather than return
+    the zeros an overflowed norm leaves.
     """
     cols = slice(job.col_start, job.col_start + job.col_count)
     if not isinstance(job.a, FixedMatrix):
         at = np.ascontiguousarray(job.a.T)
-        return _solve_block(_RealOps(), job.a, at, job.b[:, cols], job.iter_count)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _solve_block(_RealOps(), job.a, at, job.b[:, cols], job.iter_count)
     streams = None
     if mode is RoundingMode.STOCHASTIC:
         if stream_factory is None:

@@ -24,7 +24,14 @@ from .fixedpoint import (
 
 @dataclass(frozen=True)
 class FixedMatrix:
-    """Row-major matrix of fixed-point reps sharing one format."""
+    """Row-major matrix of fixed-point reps sharing one format.
+
+    Every rep lies in ``[fmt.lbound, fmt.ubound]``; the constructor raises
+    ``ValueError`` otherwise.  This is where fixed-point operands are
+    checked, once: an in-range rep's square fits int64, so sums of squares
+    are never negative, and a rep shifted by FL stays below 2**49, so the
+    square roots and the truncating division check nothing per call.
+    """
 
     data: np.ndarray  # int64, 2-D, C-order
     fmt: FixedFormat
@@ -32,6 +39,9 @@ class FixedMatrix:
     def __post_init__(self) -> None:
         if self.data.ndim != 2:
             raise ValueError(f"expected a 2-D array, got shape {self.data.shape}")
+        lo, hi = self.fmt.lbound, self.fmt.ubound
+        if self.data.size and (self.data.min() < lo or self.data.max() > hi):
+            raise ValueError(f"rep outside the format's range [{lo}, {hi}]")
 
     @property
     def rows(self) -> int:
@@ -48,13 +58,6 @@ class FixedMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int, fmt: FixedFormat) -> "FixedMatrix":
         return cls(np.zeros((rows, cols), dtype=np.int64), fmt)
-
-    @classmethod
-    def from_reps(cls, reps, fmt: FixedFormat) -> "FixedMatrix":
-        arr = np.ascontiguousarray(np.asarray(reps, dtype=np.int64))
-        if (arr > fmt.ubound).any() or (arr < fmt.lbound).any():
-            raise ValueError("rep outside the format's representable range")
-        return cls(arr, fmt)
 
     def to_real(self) -> np.ndarray:
         return self.data.astype(np.float64) * self.fmt.epsilon

@@ -91,7 +91,7 @@ def wide_operands(draw):
     return fmt, wide_array(draw, fmt, shape)
 
 
-EXACT = 1 << 53  # trunc_div_array's bound on numerator magnitudes
+EXACT = 1 << 53  # trunc_div_array's precondition on numerator magnitudes
 SHAPES = [(), (0,), (1,), (7,), (0, 3), (3, 4)]
 
 
@@ -598,14 +598,6 @@ class TestArithmetic:
         assert got.ravel().tolist() == want
         assert stats.events == sum(q >= fmt.ubound or q <= fmt.lbound for q in quotients)
 
-    @pytest.mark.parametrize(
-        "num", [EXACT, -EXACT, [0, EXACT], [[1, 2], [-EXACT, 3]], INT64_MAX],
-        ids=["2^53", "-2^53", "row", "matrix", "int64-max"],
-    )
-    def test_trunc_div_rejects_inexact_numerators(self, num):
-        with pytest.raises(ValueError):
-            trunc_div_array(np.array(num, dtype=np.int64), 3)
-
 
 class TestSqrt:
     def test_integer_sqrt_fixtures(self):
@@ -640,12 +632,6 @@ class TestSqrt:
         got = integer_sqrt_array(t, FIXED32, stats)
         assert got.tolist() == [min(r, FIXED32.ubound) for r in roots]
         assert stats.events == sum(r >= FIXED32.ubound for r in roots)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            integer_sqrt_array(np.array([-1]), FIXED32)
-        with pytest.raises(ValueError):
-            float_sqrt_array(np.array([-1]), FIXED32)
 
     def test_float_path_fixtures(self):
         t25 = 25 << (2 * FIXED32.fraction_length)

@@ -176,6 +176,13 @@ class TestRealSolve:
         with pytest.raises(ValueError):
             lsmr_solve(np.eye(3), np.zeros(4))
 
+    def test_overflow_raises(self):
+        # the column norm overflows to inf, which would zero the solution
+        with pytest.raises(FloatingPointError, match="overflow"):
+            lsmr_solve(np.eye(2), np.array([1e200, 2e200]))
+        with pytest.raises(FloatingPointError, match="overflow"):
+            lsmr_solve_multi(LsmrJob.full(np.eye(2), np.array([[1.0], [1e300]])))
+
 
 class TestFixedSolve:
     def test_identity_small_rhs(self):
@@ -266,12 +273,13 @@ class TestFixedOps:
 
 class TestKernelLookups:
     # Calls per fixed solve of a 9 x 4 system, 3 columns, 4 iterations.  Each
-    # of the 8 rotations narrows r (one cast_wide_simple_array call) and
-    # rounds other through cast_wide_array; its quotients and root call the
-    # unchecked cores, which these counts leave out.
+    # of the 8 rotations computes its 3 quotients with trunc_div_array (24 of
+    # the 46 calls), narrows r (one cast_wide_simple_array call) and rounds
+    # other through cast_wide_array; its root is taken inline, which these
+    # counts leave out.
     EXPECTED = {
         "accumulate_product_wide": 9,
-        "trunc_div_array": 22,
+        "trunc_div_array": 46,
         "cast_wide_array": 74,
         "cast_wide_simple_array": 54,
         "sum_squares_wide": 10,

@@ -14,7 +14,7 @@ from admmlsmr.fixedpoint import (
     SaturationStats,
     make_stream,
 )
-from admmlsmr.lsmr import LsmrJob, _FixedOps
+from admmlsmr.lsmr import LsmrJob, _FixedOps, lsmr_solve_multi
 from admmlsmr.matrix import (
     FixedMatrix,
     accumulate_product_wide,
@@ -55,8 +55,22 @@ class TestQuantization:
         assert err.max() <= FIXED32.epsilon
 
     def test_rep_validation(self):
-        with pytest.raises(ValueError):
-            FixedMatrix.from_reps([[FIXED16.ubound + 1]], FIXED16)
+        # reps are checked where they enter, at each bound of each format
+        for fmt in (FIXED16, FIXED32):
+            for rep in (fmt.lbound, fmt.ubound):
+                assert FixedMatrix(np.array([[0, rep]], dtype=np.int64), fmt).data[0, 1] == rep
+            for rep in (fmt.lbound - 1, fmt.ubound + 1):
+                with pytest.raises(ValueError, match="outside"):
+                    FixedMatrix(np.array([[0, rep]], dtype=np.int64), fmt)
+            assert FixedMatrix(np.empty((0, 3), dtype=np.int64), fmt).shape == (0, 3)
+
+    @pytest.mark.parametrize("rep", [1 << 33, (1 << 32) + 5])
+    def test_out_of_range_rhs_rejected_before_a_solve(self, rep):
+        # Squared in a solve, these reps wrap int64: 2**33's sum of squares
+        # is 0, which would solve to [[0], [0]], and 2**32 + 5 to 398249.
+        a = FixedMatrix(np.eye(2, dtype=np.int64) * FIXED32.one, FIXED32)
+        with pytest.raises(ValueError, match="outside"):
+            lsmr_solve_multi(LsmrJob.full(a, FixedMatrix(np.array([[rep], [0]]), FIXED32)))
 
 
 class TestFixedMatmul:
@@ -99,8 +113,8 @@ class TestFixedMatmul:
     def test_accumulator_saturation_counted(self):
         stats = SaturationStats()
         top = FIXED32.ubound
-        a = FixedMatrix.from_reps([[top, top, top]], FIXED32)
-        b = FixedMatrix.from_reps([[top], [top], [top]], FIXED32)
+        a = FixedMatrix(np.array([[top, top, top]], dtype=np.int64), FIXED32)
+        b = FixedMatrix(np.array([[top], [top], [top]], dtype=np.int64), FIXED32)
         out = mat_mul_fixed(a, b, stats=stats)
         assert out.data[0, 0] == FIXED32.ubound
         assert stats.events >= 1
@@ -236,17 +250,17 @@ class TestDotNorm:
         rng = np.random.default_rng(13)
         v = q32(rng.uniform(-3, 3, (12, 1)))
         base = ops32().norm_cols(v.data).tolist()
-        perm = FixedMatrix.from_reps(
+        perm = FixedMatrix(
             np.random.default_rng(14).permutation(v.data.ravel()).reshape(-1, 1), FIXED32
         )
-        flipped = FixedMatrix.from_reps(-v.data, FIXED32)
+        flipped = FixedMatrix(-v.data, FIXED32)
         assert ops32().norm_cols(perm.data).tolist() == base
         assert ops32().norm_cols(flipped.data).tolist() == base
 
     @pytest.mark.parametrize("sqrt_path", ["float", "integer"])
     def test_norm_saturation_counted(self, sqrt_path):
         stats = SaturationStats()
-        v = FixedMatrix.from_reps([[FIXED32.ubound], [FIXED32.ubound]], FIXED32)
+        v = FixedMatrix(np.array([[FIXED32.ubound], [FIXED32.ubound]], dtype=np.int64), FIXED32)
         assert ops32(sqrt_path, stats).norm_cols(v.data).tolist() == [FIXED32.ubound]
         assert stats.events == 1
 
