@@ -18,7 +18,6 @@ from .matrix import (
     dequantize_matrix,
     mat_mul_fixed,
     quantize_matrix,
-    transpose_fixed,
 )
 from .lsmr import (
     LsmrJob,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -160,7 +160,7 @@ class IterationTimings:
     lagrangian: float = 0.0
 
     def total(self) -> float:
-        return self.weight + self.activation + self.output + self.lagrangian
+        return sum(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass
@@ -179,12 +179,10 @@ class TrainReport:
         return sum(self.saturation_per_iteration)
 
     def totals(self) -> dict[str, float]:
-        out = {"weight": 0.0, "activation": 0.0, "output": 0.0, "lagrangian": 0.0}
+        out = dict.fromkeys((f.name for f in fields(IterationTimings)), 0.0)
         for t in self.timings:
-            out["weight"] += t.weight
-            out["activation"] += t.activation
-            out["output"] += t.output
-            out["lagrangian"] += t.lagrangian
+            for name in out:
+                out[name] += getattr(t, name)
         return out
 
     def percentages(self) -> dict[str, float]:

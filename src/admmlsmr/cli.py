@@ -12,9 +12,10 @@ import sys
 import numpy as np
 
 from . import data as datamod
-from .admm import NetworkConfig, TrainingDivergedError, TrainReport, train
+from .admm import ARITHMETICS, NetworkConfig, TrainingDivergedError, TrainReport, train
 from .data import DataError, Dataset
 from .fixedpoint import FIXED16, FIXED32, RoundingMode, convert, stream_keys, value_of
+from .lsmr import SQRT_PATHS
 
 ROUNDINGS = [m.value for m in RoundingMode]
 
@@ -71,7 +72,7 @@ def _add_run_flags(p: argparse.ArgumentParser, iters_default: int = 100) -> None
     p.add_argument("--has-header", action="store_true", help="skip one header line")
     p.add_argument("--arch", required=True, help="layer widths, e.g. 4,8,8,3")
     p.add_argument("--iters", type=int, default=iters_default, help="training sweeps")
-    p.add_argument("--arithmetic", choices=["real", "fixed16", "fixed32"], default="real")
+    p.add_argument("--arithmetic", choices=ARITHMETICS, default="real")
     p.add_argument("--rounding", choices=ROUNDINGS, default="nearest")
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=1.0)
@@ -80,7 +81,7 @@ def _add_run_flags(p: argparse.ArgumentParser, iters_default: int = 100) -> None
     p.add_argument("--test-frac", type=float, default=0.2)
     p.add_argument("--subsample", type=int, default=None, help="rows kept before splitting")
     p.add_argument("--lsmr-iters", type=int, default=None, help="override min(m,n)")
-    p.add_argument("--sqrt-path", choices=["float", "integer"], default="float")
+    p.add_argument("--sqrt-path", choices=SQRT_PATHS, default="float")
     p.add_argument("--bias-feature", action="store_true", help="append a constant-1 feature")
     p.add_argument("--out", help="write the report here instead of stdout")
 

@@ -506,14 +506,7 @@ def saturating_acc_add(
     return s
 
 
-# -- format check and division ------------------------------------------------
-
-def _check_fmt(a, b) -> FixedFormat:
-    """The format two fixed operands (matrices) share."""
-    if a.fmt != b.fmt:
-        raise FixedFormatError(f"format mismatch: {a.fmt} vs {b.fmt}")
-    return a.fmt
-
+# -- division ----------------------------------------------------------------
 
 def trunc_div_array(num: np.ndarray, den: np.ndarray | int) -> np.ndarray:
     """C-style integer division: truncates toward zero.  Preconditions,

@@ -24,7 +24,6 @@ from .fixedpoint import (
     FixedFormat,
     RoundingMode,
     SaturationStats,
-    _check_fmt,
     _isqrt_array,
     _round_scaled,
     cast_wide_array,
@@ -33,13 +32,7 @@ from .fixedpoint import (
     integer_sqrt_array,
     trunc_div_array,
 )
-from .matrix import (
-    FixedMatrix,
-    PreparedOperand,
-    accumulate_product_wide,
-    sum_squares_wide,
-    transpose_fixed,
-)
+from .matrix import FixedMatrix, _check_fmt, accumulate_product_wide, sum_squares_wide
 
 StreamFactory = Callable[[int], np.random.Generator]
 SQRT_PATHS = ("float", "integer")
@@ -160,8 +153,8 @@ class _FixedOps:
     def neg(self, a: np.ndarray) -> np.ndarray:
         return cast_wide_simple_array(-a, self.fmt, self.stats)
 
-    def matmul(self, a: PreparedOperand, b_reps: np.ndarray) -> np.ndarray:
-        return self.cast(accumulate_product_wide(a, b_reps, self.fmt, self.stats))
+    def matmul(self, a: FixedMatrix, b_reps: np.ndarray) -> np.ndarray:
+        return self.cast(accumulate_product_wide(a, b_reps, self.stats))
 
     def norm_cols(self, reps: np.ndarray) -> np.ndarray:
         return self._sqrt_wide(sum_squares_wide(reps, self.fmt, self.stats))
@@ -220,8 +213,8 @@ Ops = _RealOps | _FixedOps
 
 def _solve_block(
     ops: Ops,
-    a: np.ndarray | PreparedOperand,
-    at: np.ndarray | PreparedOperand,
+    a: np.ndarray | FixedMatrix,
+    at: np.ndarray | FixedMatrix,
     b: np.ndarray,
     iters: int,
 ) -> np.ndarray:
@@ -398,11 +391,11 @@ def lsmr_solve_multi(
     stream.  For an ``m x n`` system each column draws ``n + 1`` uniforms
     before the loop and exactly ``2m + 5n + 11`` per iteration it runs, so
     the streams are drawn in those blocks and end just past the uniforms the
-    column used.  A fixed system and its transpose are prepared once per
-    solve (``PreparedOperand``), since retiring lanes only slice the
-    right-hand-side vectors.  A real solve raises ``FloatingPointError`` on
-    overflow, division by zero or an invalid operation, rather than return
-    the zeros an overflowed norm leaves.
+    column used.  A fixed system's transpose and float64 copies are cached
+    on its ``FixedMatrix``, so every column range of one system shares them.
+    A real solve raises ``FloatingPointError`` on overflow, division by zero
+    or an invalid operation, rather than return the zeros an overflowed norm
+    leaves.
     """
     cols = slice(job.col_start, job.col_start + job.col_count)
     if not isinstance(job.a, FixedMatrix):
@@ -417,7 +410,5 @@ def lsmr_solve_multi(
         gens = [stream_factory(j) for j in range(cols.start, cols.stop)]
         streams = ColumnStreams(gens, 2 * m + 5 * n + 11, first=n + 1)
     ops = _FixedOps(job.a.fmt, mode, streams, sqrt_path, stats)
-    a = PreparedOperand(job.a.data)
-    at = PreparedOperand(transpose_fixed(job.a).data)
-    x = _solve_block(ops, a, at, job.b.data[:, cols], job.iter_count)
+    x = _solve_block(ops, job.a, job.a.T, job.b.data[:, cols], job.iter_count)
     return FixedMatrix(x, job.a.fmt)

@@ -8,14 +8,15 @@ back to the word format.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .fixedpoint import (
     FixedFormat,
+    FixedFormatError,
     RoundingMode,
     SaturationStats,
-    _check_fmt,
     cast_wide_array,
     convert_array,
     saturating_acc_add,
@@ -26,41 +27,59 @@ from .fixedpoint import (
 class FixedMatrix:
     """Row-major matrix of fixed-point reps sharing one format.
 
-    Every rep lies in ``[fmt.lbound, fmt.ubound]``; the constructor raises
-    ``ValueError`` otherwise.  This is where fixed-point operands are
-    checked, once: an in-range rep's square fits int64, so sums of squares
-    are never negative, and a rep shifted by FL stays below 2**49, so the
-    square roots and the truncating division check nothing per call.
+    The constructor checks its operand once, where it enters, and raises
+    ``ValueError`` unless ``data`` is a 2-D int64 array whose every rep lies
+    in ``[fmt.lbound, fmt.ubound]``.  It keeps a private C-contiguous copy
+    and makes it read-only, so neither an in-place write nor the caller's
+    array can change it later.  An in-range rep's square fits int64, so sums
+    of squares are never negative, and a rep shifted by FL stays below
+    2**49, so the square roots and the truncating division check nothing
+    per call.
+
+    Because the reps never change, what the wide MAC prepares from them is
+    computed once per matrix and cached: the float64 copy (``floats``), the
+    largest rep magnitude (``max_abs``) and the transpose (``T``).
     """
 
-    data: np.ndarray  # int64, 2-D, C-order
+    data: np.ndarray  # int64, 2-D, C-order, read-only
     fmt: FixedFormat
 
     def __post_init__(self) -> None:
-        if self.data.ndim != 2:
-            raise ValueError(f"expected a 2-D array, got shape {self.data.shape}")
+        data = self.data
+        if data.ndim != 2 or data.dtype != np.int64:
+            raise ValueError(f"expected a 2-D int64 array, got {data.dtype} {data.shape}")
         lo, hi = self.fmt.lbound, self.fmt.ubound
-        if self.data.size and (self.data.min() < lo or self.data.max() > hi):
+        if data.size and (data.min() < lo or data.max() > hi):
             raise ValueError(f"rep outside the format's range [{lo}, {hi}]")
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
+        data = np.array(data, order="C")
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int, fmt: FixedFormat) -> "FixedMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), fmt)
+    @cached_property
+    def floats(self) -> np.ndarray:
+        return self.data.astype(np.float64)
+
+    @cached_property
+    def max_abs(self) -> int:
+        return int(np.abs(self.data).max(initial=0))
+
+    @cached_property
+    def T(self) -> "FixedMatrix":
+        return FixedMatrix(self.data.T, self.fmt)
 
     def to_real(self) -> np.ndarray:
         return self.data.astype(np.float64) * self.fmt.epsilon
+
+
+def _check_fmt(a: FixedMatrix, b: FixedMatrix) -> FixedFormat:
+    """The format two fixed operands share."""
+    if a.fmt != b.fmt:
+        raise FixedFormatError(f"format mismatch: {a.fmt} vs {b.fmt}")
+    return a.fmt
 
 
 # -- quantization ------------------------------------------------------------
@@ -84,26 +103,9 @@ def dequantize_matrix(f: FixedMatrix) -> np.ndarray:
 
 # -- fixed kernels -----------------------------------------------------------
 
-class PreparedOperand:
-    """A constant rep matrix prepared once for many wide products: its
-    float64 copy and its largest rep magnitude."""
-
-    __slots__ = ("reps", "floats", "max_abs")
-
-    def __init__(self, reps: np.ndarray) -> None:
-        self.reps = reps
-        self.floats = reps.astype(np.float64)
-        self.max_abs = int(np.abs(reps).max(initial=0))
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.reps.shape
-
-
 def accumulate_product_wide(
-    a: PreparedOperand | np.ndarray,
+    a: FixedMatrix,
     b: np.ndarray,
-    fmt: FixedFormat,
     stats: SaturationStats | None = None,
 ) -> np.ndarray:
     """Wide accumulator for reps(a) @ reps(b): exact int64 products, with the
@@ -119,11 +121,11 @@ def accumulate_product_wide(
     after every addition.  Either way the result for a given output column
     never depends on which other columns are present.
 
-    ``a`` is a rep array or, when the same matrix meets many ``b``, a
-    ``PreparedOperand`` whose float64 copy and ``max|a|`` are reused.
+    ``b`` is a rep array in ``a``'s format.  The float64 copy and ``max|a|``
+    are ``a``'s cached properties, so a matrix that meets many ``b`` prepares
+    them once.
     """
-    if not isinstance(a, PreparedOperand):
-        a = PreparedOperand(a)
+    fmt = a.fmt
     m, n = a.shape
     p = b.shape[1]
     bound = n * a.max_abs * int(np.abs(b).max(initial=0))
@@ -131,7 +133,7 @@ def accumulate_product_wide(
         return (a.floats @ b.astype(np.float64)).astype(np.int64)
     acc = np.zeros((m, p), dtype=np.int64)
     for k in range(n):
-        term = a.reps[:, k : k + 1] * b[k : k + 1, :]
+        term = a.data[:, k : k + 1] * b[k : k + 1, :]
         acc = saturating_acc_add(acc, term, fmt, stats)
     return acc
 
@@ -145,9 +147,9 @@ def mat_mul_fixed(
 ) -> FixedMatrix:
     """Matrix product with exactly one rounding per output cell."""
     fmt = _check_fmt(a, b)
-    if a.cols != b.rows:
+    if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    acc = accumulate_product_wide(a.data, b.data, fmt, stats)
+    acc = accumulate_product_wide(a, b.data, stats)
     return FixedMatrix(cast_wide_array(acc, fmt, mode, rng, stats=stats), fmt)
 
 
@@ -171,7 +173,3 @@ def sum_squares_wide(
     if stats is not None:
         stats.count(sum(s > fmt.wide_ubound for s in exact))
     return np.array([min(s, fmt.wide_ubound) for s in exact], dtype=np.int64)
-
-
-def transpose_fixed(m: FixedMatrix) -> FixedMatrix:
-    return FixedMatrix(np.ascontiguousarray(m.data.T), m.fmt)

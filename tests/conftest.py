@@ -285,6 +285,77 @@ def oracle_lsmr_fixed(
     return x
 
 
+# -- the real solver, one column in Python floats ----------------------------------
+
+def oracle_rotation_real(a: float, b: float) -> tuple[float, float, float]:
+    """Stable Givens rotation (c, s, r) zeroing ``b``.
+
+    Divides by the larger-magnitude argument so the ratio stays in [-1, 1].
+    The degenerate (0, 0) input returns the identity rotation.
+    """
+    if a == 0.0 and b == 0.0:
+        return 1.0, 0.0, 0.0
+    if abs(b) > abs(a):
+        tau = a / b
+        s = (1.0 if b >= 0 else -1.0) / math.sqrt(1.0 + tau * tau)
+        return s * tau, s, b / s
+    tau = b / a
+    c = (1.0 if a >= 0 else -1.0) / math.sqrt(1.0 + tau * tau)
+    return c, c * tau, a / c
+
+
+def oracle_lsmr_real(a: np.ndarray, b: np.ndarray, iters: int) -> np.ndarray:
+    """The float64 solution of ``a x ~= b`` for one column ``b``.
+
+    Fong & Saunders' LSMR (Algorithm 1), truncated at ``iters`` iterations,
+    written one column at a time with scalar rotations and branches instead
+    of the solver's lane masks.  It stops as the solver does: a zero ``b``
+    or initial alpha returns zero, an iteration whose ``rho_new`` or
+    quotient denominator is zero stops with the previous iterate, and an
+    iteration that exhausts the Krylov space (a zero beta or alpha) keeps
+    its update and then stops.
+    """
+    x = np.zeros(a.shape[1])
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return x
+    u = b / beta
+    w = a.T @ u
+    alpha = float(np.linalg.norm(w))
+    if alpha == 0.0:
+        return x
+    v = w / alpha
+    zetabar = alpha * beta
+    alphabar = alpha
+    rho = rhobar = cbar = 1.0
+    sbar = 0.0
+    h = v.copy()
+    hbar = np.zeros_like(v)
+    for _ in range(iters):
+        s_vec = a @ v - alpha * u
+        beta = float(np.linalg.norm(s_vec))
+        u = s_vec / beta if beta > 0.0 else s_vec
+        t_vec = a.T @ u - beta * v
+        alpha = float(np.linalg.norm(t_vec))
+        if alpha > 0.0:
+            v = t_vec / alpha
+        c, s, rho_new = oracle_rotation_real(alphabar, beta)
+        alphabar = c * alpha
+        theta = s * alpha
+        cbar, sbar_new, rhobar_new = oracle_rotation_real(cbar * rho_new, theta)
+        zeta = cbar * zetabar
+        zetabar = -sbar_new * zetabar
+        if rho_new == 0.0 or rho * rhobar == 0.0 or rho_new * rhobar_new == 0.0:
+            break
+        hbar = h - (sbar * rho_new * rho_new) / (rho * rhobar) * hbar
+        x = x + zeta / (rho_new * rhobar_new) * hbar
+        h = v - theta / rho_new * h
+        rho, rhobar, sbar = rho_new, rhobar_new, sbar_new
+        if beta == 0.0 or alpha == 0.0:
+            break
+    return x
+
+
 # -- linear-algebra oracles --------------------------------------------------------
 
 def normal_equations_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

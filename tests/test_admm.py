@@ -9,8 +9,10 @@ import pytest
 
 from admmlsmr import admm
 from admmlsmr.admm import (
+    IterationTimings,
     NetworkConfig,
     SolveEngine,
+    TrainReport,
     TrainingDivergedError,
     _check_finite,
     accuracy,
@@ -349,6 +351,16 @@ class TestInference:
             predict([np.eye(3)], np.zeros((4, 2)))
         with pytest.raises(ValueError):
             accuracy(np.zeros((2, 3)), np.array([0, 1]))
+
+
+def test_report_totals_follow_the_timing_fields():
+    timings = [IterationTimings(0.5, 0.25, 0.125, 2.0), IterationTimings(1.0, 3.0, 0.5, 0.75)]
+    report = TrainReport({}, timings)
+    assert report.totals() == {
+        "weight": 1.5, "activation": 3.25, "output": 0.625, "lagrangian": 2.75
+    }
+    assert list(report.totals()) == ["weight", "activation", "output", "lagrangian"]
+    assert [t.total() for t in timings] == [2.875, 5.25]
 
 
 class TestTrain:

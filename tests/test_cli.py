@@ -8,9 +8,10 @@ import json
 import pytest
 
 from admmlsmr import cli
-from admmlsmr.admm import TrainingDivergedError
+from admmlsmr.admm import ARITHMETICS, TrainingDivergedError
 from admmlsmr.cli import main
 from admmlsmr.data import iris_path
+from admmlsmr.lsmr import SQRT_PATHS
 
 IRIS = iris_path()
 
@@ -109,6 +110,15 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--data", IRIS])  # --arch is required
         assert exc.value.code == 2
+
+    def test_choices_are_the_config_values(self):
+        # the parser takes exactly the values NetworkConfig accepts
+        parser = cli.build_parser()
+        for flag, values in (("--arithmetic", ARITHMETICS), ("--sqrt-path", SQRT_PATHS)):
+            for value in values:
+                parser.parse_args(["train", "--arch", "4,3", flag, value])
+            with pytest.raises(SystemExit):
+                parser.parse_args(["train", "--arch", "4,3", flag, "fixed8"])
 
     def test_unknown_rounding_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -21,7 +21,6 @@ from admmlsmr.matrix import (
     dequantize_matrix,
     mat_mul_fixed,
     quantize_matrix,
-    transpose_fixed,
 )
 from conftest import oracle_cast_wide, oracle_mac
 
@@ -73,6 +72,38 @@ class TestQuantization:
             lsmr_solve_multi(LsmrJob.full(a, FixedMatrix(np.array([[rep], [0]]), FIXED32)))
 
 
+class TestOperandBoundary:
+    """A ``FixedMatrix`` holds a private, read-only 2-D int64 rep array."""
+
+    @pytest.mark.parametrize(
+        "reps",
+        [
+            np.array([[3 * FIXED32.one], [0]], dtype=np.int32),
+            np.array([[3.0], [0.0]]),
+        ],
+        ids=["int32", "float64"],
+    )
+    def test_non_int64_reps_rejected(self, reps):
+        # an int32 b once solved to [0, 0], and float reps failed inside the
+        # solver with a TypeError
+        with pytest.raises(ValueError, match="int64"):
+            FixedMatrix(reps, FIXED32)
+
+    def test_data_is_read_only(self):
+        m = FixedMatrix(np.array([[1], [0]], dtype=np.int64), FIXED32)
+        with pytest.raises(ValueError, match="read-only"):
+            m.data[0, 0] = 1 << 33
+
+    def test_caller_array_is_not_aliased(self):
+        # writing an out-of-range rep into the caller's array once solved
+        # to [0, 0]
+        a = FixedMatrix(np.eye(2, dtype=np.int64) * FIXED32.one, FIXED32)
+        reps = np.array([[3 * FIXED32.one], [0]], dtype=np.int64)
+        b = FixedMatrix(reps, FIXED32)
+        reps[0, 0] = 1 << 33
+        assert lsmr_solve_multi(LsmrJob.full(a, b)).data[:, 0].tolist() == [3 * FIXED32.one, 0]
+
+
 class TestFixedMatmul:
     def test_identity_bit_exact(self):
         rng = np.random.default_rng(6)
@@ -88,7 +119,7 @@ class TestFixedMatmul:
         assert np.array_equal(out.data, b.data)
 
     def test_zero_matrix(self):
-        z = FixedMatrix.zeros(3, 4, FIXED32)
+        z = FixedMatrix(np.zeros((3, 4), np.int64), FIXED32)
         b = q32(np.random.default_rng(7).uniform(-10, 10, (4, 2)))
         assert np.array_equal(mat_mul_fixed(z, b).data, np.zeros((3, 2), dtype=np.int64))
 
@@ -202,7 +233,7 @@ class TestWideMac:
     def test_matches_saturating_oracle(self, operands):
         fmt, a, b = operands
         stats = SaturationStats()
-        got = accumulate_product_wide(a, b, fmt, stats)
+        got = accumulate_product_wide(FixedMatrix(a, fmt), b, stats)
         want, events = oracle_mac(a, b, fmt)
         assert got.dtype == np.int64
         assert got.shape == (a.shape[0], b.shape[1])
@@ -268,7 +299,7 @@ class TestDotNorm:
 class TestFixedElementwise:
     def test_add_zero_identity(self):
         m = q32(np.random.default_rng(15).uniform(-9, 9, (4, 4)))
-        z = FixedMatrix.zeros(4, 4, FIXED32)
+        z = FixedMatrix(np.zeros((4, 4), np.int64), FIXED32)
         assert np.array_equal(ops32().add(m.data, z.data), m.data)
 
     def test_scale_by_one(self):
@@ -292,12 +323,15 @@ class TestFixedElementwise:
 
     def test_transpose_fixed(self):
         m = q32(np.random.default_rng(18).uniform(-2, 2, (2, 5)))
-        t = transpose_fixed(m)
+        t = m.T
         assert t.shape == (5, 2)
+        assert t.fmt == m.fmt
         assert np.array_equal(t.data.T, m.data)
+        assert t.data.flags.c_contiguous and not t.data.flags.writeable
+        assert m.T is t
 
 
-_M16, _M32 = FixedMatrix.zeros(1, 1, FIXED16), FixedMatrix.zeros(1, 1, FIXED32)
+_M16, _M32 = (FixedMatrix(np.zeros((1, 1), np.int64), fmt) for fmt in (FIXED16, FIXED32))
 
 
 @pytest.mark.parametrize(
