@@ -46,7 +46,7 @@ _TAG_ROUND = 3
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the real-arithmetic state stops being finite."""
+    """Raised when a training run's float arithmetic overflows or turns invalid."""
 
 
 @dataclass
@@ -134,8 +134,8 @@ class NetworkConfig:
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as a Python int; numpy integers pass, anything else fails."""
-    if not isinstance(value, (int, np.integer)):
+    """``value`` as a Python int; numpy integers pass, bools and the rest fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -154,6 +154,10 @@ class NetworkState:
 
 @dataclass
 class IterationTimings:
+    """One sweep's seconds per procedure: the weight and activation solves,
+    each with its quantize hop; ``output``, both closed-form z updates
+    (hidden and output layers); ``lagrangian``, the multiplier step."""
+
     weight: float = 0.0
     activation: float = 0.0
     output: float = 0.0
@@ -467,19 +471,18 @@ def train(
             f"output width {cfg.layer_dims[-1]} != class count {train_set.class_count}"
         )
     rng = make_stream(cfg.seed, _TAG_INIT)
-    state = init_network(cfg, x0, y, rng)
     report = TrainReport(config=_config_echo(cfg))
     betas = cfg.betas()
     gammas = cfg.gammas()
     n_layers = cfg.layer_count
     engine = SolveEngine(cfg)
-    wall_start = time.perf_counter()
 
-    # In real arithmetic an overflow or an invalid operation ends the run:
-    # the state it leaves behind can look finite (a column norm that
-    # overflows to inf zeroes its solution) and still be no solution.
-    real = cfg.arithmetic == "real"
-    with _diverge_on_fp_error() if real else contextlib.nullcontext():
+    # An overflow or an invalid operation anywhere, from the first forward
+    # pass on, ends the run: the state it leaves can look finite (a column
+    # norm that overflows to inf zeroes its solution) and be no solution.
+    with _diverge_on_fp_error(cfg.arithmetic):
+        state = init_network(cfg, x0, y, rng)
+        wall_start = time.perf_counter()
         for _ in range(cfg.iterations):
             timings = IterationTimings()
             sat_before = engine.saturation.events
@@ -517,44 +520,42 @@ def train(
 
             report.timings.append(timings)
             report.saturation_per_iteration.append(engine.saturation.events - sat_before)
-            if real:
-                _check_finite(state)
-    report.wall_seconds = time.perf_counter() - wall_start
-
-    outputs = predict(state.weights, x0)
-    report.train_accuracy = accuracy(outputs, train_set.labels)
-    if test_set is not None:
-        report.test_accuracy = accuracy(
-            predict(state.weights, test_set.features), test_set.labels
-        )
+        report.wall_seconds = time.perf_counter() - wall_start
+        outputs = predict(state.weights, x0)
+        report.train_accuracy = accuracy(outputs, train_set.labels)
+        if test_set is not None:
+            report.test_accuracy = accuracy(
+                predict(state.weights, test_set.features), test_set.labels
+            )
     return state, report
 
 
 @contextlib.contextmanager
-def _diverge_on_fp_error():
+def _diverge_on_fp_error(arithmetic: str):
     """Raise numpy's floating-point errors, the solver's included, and end
-    the run on one as ``TrainingDivergedError``."""
+    the run on one as ``TrainingDivergedError`` naming ``arithmetic``.
+
+    It is the run's only divergence check; a scan for inf or NaN after each
+    sweep could find none:
+
+    - Every state array and prediction is written by numpy inside the
+      errstate, from finite data and finite initial weights, so any new inf
+      or NaN raises.  The fixed kernels set no float flag, and the quantize
+      hop clamps before it scales.
+    - The one operand made outside numpy is Python-float arithmetic on the
+      penalties (``gamma + beta``, ``2.0 * beta``).  It either raises at its
+      first numpy use (in ``z_update_output``, inf times ``b`` over inf is
+      ``invalid``) or stays finite (in ``z_update_hidden``, x / inf = 0).
+    """
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             yield
     except FloatingPointError as exc:
         kind = str(exc).split(" encountered")[0]  # "overflow", "divide by zero", ...
         raise TrainingDivergedError(
-            f"floating-point {kind} in real arithmetic; "
+            f"floating-point {kind} in {arithmetic} arithmetic; "
             "try smaller penalties or fewer iterations"
         ) from exc
-
-
-def _check_finite(state: NetworkState) -> None:
-    for name, arrays in (("weights", state.weights), ("z", state.z), ("x", state.x)):
-        for idx, arr in enumerate(arrays):
-            if not np.isfinite(arr).all():
-                raise TrainingDivergedError(
-                    f"non-finite values in {name}[{idx}]; "
-                    "try smaller penalties or fewer iterations"
-                )
-    if not np.isfinite(state.lam).all():
-        raise TrainingDivergedError("non-finite values in the multiplier")
 
 
 def _config_echo(cfg: NetworkConfig) -> dict:

@@ -29,7 +29,7 @@ class Dataset:
             raise DataError(
                 f"{self.features.shape[1]} samples vs {len(self.labels)} labels"
             )
-        if len(self.labels) and int(self.labels.max()) >= self.class_count:
+        if ((self.labels < 0) | (self.labels >= self.class_count)).any():
             raise DataError("label index out of range")
         if not np.isfinite(self.features).all():
             raise DataError("non-finite feature values")

@@ -83,7 +83,8 @@ class _RealOps:
         """Stable Givens rotations (c, s, r) zeroing ``b``, one per lane.
 
         Divides by the larger-magnitude argument so the ratio stays in
-        [-1, 1].  The degenerate (0, 0) input returns the identity rotation.
+        [-1, 1].  ``div`` reads a (0, 0) lane's zero divisor as one, so that
+        lane gets ``c = 1`` and zero ``s`` and ``r`` with no mask.
         """
         take_b = np.abs(b) > np.abs(a)
         big = np.where(take_b, b, a)
@@ -93,11 +94,7 @@ class _RealOps:
         lead = self.div(sign, np.sqrt(1.0 + tau * tau))
         other = self.mul(lead, tau)
         r = self.div(big, lead)
-        degenerate = (a == 0) & (b == 0)
-        c = np.where(degenerate, self.one, np.where(take_b, other, lead))
-        s = np.where(degenerate, self.zero, np.where(take_b, lead, other))
-        r = np.where(degenerate, self.zero, r)
-        return c, s, r
+        return np.where(take_b, other, lead), np.where(take_b, lead, other), r
 
 
 class _FixedOps:

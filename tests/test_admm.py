@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from admmlsmr.admm import (
     SolveEngine,
     TrainReport,
     TrainingDivergedError,
-    _check_finite,
     accuracy,
     activation_update,
     init_network,
@@ -27,7 +27,7 @@ from admmlsmr.admm import (
 )
 from admmlsmr.data import Dataset, one_hot
 from admmlsmr.fixedpoint import FIXED32, RoundingMode, SaturationStats, make_stream
-from admmlsmr.lsmr import LsmrJob, lsmr_solve_multi
+from admmlsmr.lsmr import SQRT_PATHS, LsmrJob, lsmr_solve_multi
 from admmlsmr.matrix import quantize_matrix
 from conftest import (
     grid_min_hidden,
@@ -192,6 +192,7 @@ class TestInit:
         for bad in (
             dict(iterations=2.5), dict(workers=2.5), dict(lsmr_iterations=2.5),
             dict(layer_dims=[4, 8.5, 3]), dict(iterations="2"),
+            dict(iterations=True), dict(workers=True), dict(layer_dims=[4, True, 3]),
         ):
             with pytest.raises(ValueError, match="integer"):
                 NetworkConfig(**{"layer_dims": [4, 8, 3], **bad})
@@ -203,7 +204,7 @@ class TestInit:
             [4, 8, 3], 2, 2, 3
         )
         # the seed and the rounding mode are checked here, not first in train
-        for bad in (1.5, "3", None):
+        for bad in (1.5, "3", None, True):
             with pytest.raises(ValueError, match="seed must be an integer"):
                 NetworkConfig([4, 8, 3], seed=bad)
         with pytest.raises(ValueError, match="seed must be non-negative"):
@@ -495,10 +496,38 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError, match="overflow"):
             train(cfg, ds)
 
-    def test_divergence_detector(self):
-        ds = tiny_dataset()
-        cfg = NetworkConfig([4, 6, 3], iterations=0)
-        state, _ = train(cfg, ds)
-        state.weights[0][0, 0] = np.nan
-        with pytest.raises(TrainingDivergedError):
-            _check_finite(state)
+    @pytest.mark.parametrize("arithmetic", ["real", "fixed32", "fixed16"])
+    @pytest.mark.parametrize("case", ["penalty", "forward-pass"])
+    def test_diverging_run_raises_one_error(self, arithmetic, case):
+        # A huge penalty overflows mid-sweep; huge features overflow the
+        # first forward pass.  Either way the run ends in one error naming
+        # its arithmetic, with no warning first.
+        if case == "penalty":
+            ds = tiny_dataset(n=30, classes=2)
+            cfg = NetworkConfig([4, 3, 2], iterations=3, beta=1e308, arithmetic=arithmetic)
+        else:
+            ds = Dataset(np.full((200, 30), 1.7e308), np.arange(30) % 2, 2)
+            cfg = NetworkConfig([200, 8, 2], iterations=3, arithmetic=arithmetic)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                TrainingDivergedError, match=f"^floating-point .* in {arithmetic} arithmetic;"
+            ):
+                train(cfg, ds)
+
+    def test_fixed_runs_raise_no_float_flag(self, iris):
+        # train raises on any numpy float flag, so a fixed run on ordinary
+        # data pins that the fixed kernels set none, in every mode and path
+        from admmlsmr.data import split, standardize
+
+        sp = split(iris, 0.2, 0)
+        tr, te, _ = standardize(sp.train, sp.test)
+        for arithmetic in ("fixed16", "fixed32"):
+            for rounding in RoundingMode:
+                for sqrt_path in SQRT_PATHS:
+                    cfg = NetworkConfig(
+                        [4, 8, 8, 3], iterations=2, beta=0.03, gamma=10.0, seed=0,
+                        arithmetic=arithmetic, rounding=rounding, sqrt_path=sqrt_path,
+                    )
+                    _, report = train(cfg, tr, te)
+                    assert len(report.timings) == 2

@@ -1,9 +1,12 @@
 """End-to-end CLI tests: flags, report schema, exit codes, determinism."""
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,7 @@ from admmlsmr import cli
 from admmlsmr.admm import ARITHMETICS, TrainingDivergedError
 from admmlsmr.cli import main
 from admmlsmr.data import iris_path
+from admmlsmr.fixedpoint import RoundingMode
 from admmlsmr.lsmr import SQRT_PATHS
 
 IRIS = iris_path()
@@ -120,6 +124,20 @@ class TestErrors:
             with pytest.raises(SystemExit):
                 parser.parse_args(["train", "--arch", "4,3", flag, "fixed8"])
 
+    def test_readme_flags_follow_the_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        para = readme.split("Flags shared by the run commands:")[1].split("Defaults:")[0]
+        parser = argparse.ArgumentParser(add_help=False)
+        cli._add_run_flags(parser)
+        flags = {s for action in parser._actions for s in action.option_strings}
+        assert set(re.findall(r"--[a-z-]+", para)) == flags
+        choices = dict(re.findall(r"`(--[a-z-]+) ([a-z0-9]+(?:\|[a-z0-9]+)+)`", para))
+        assert {flag: set(values.split("|")) for flag, values in choices.items()} == {
+            "--arithmetic": set(ARITHMETICS),
+            "--rounding": {m.value for m in RoundingMode},
+            "--sqrt-path": set(SQRT_PATHS),
+        }
+
     def test_unknown_rounding_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--data", IRIS, "--arch", "4,8,3", "--rounding", "banker"])
@@ -140,12 +158,12 @@ class TestErrors:
 
     def test_diverged_training_exits_1(self, capsys, monkeypatch):
         def diverge(*args, **kwargs):
-            raise TrainingDivergedError("non-finite values in the multiplier")
+            raise TrainingDivergedError("floating-point overflow in real arithmetic")
 
         monkeypatch.setattr(cli, "train", diverge)
         code, _, err = run_cli(capsys, *train_args())
         assert code == 1
-        assert err.startswith("error: non-finite values")
+        assert err.startswith("error: floating-point overflow")
 
     def test_overflowing_real_run_exits_1(self, capsys):
         # no report, no warning: one error line
@@ -156,6 +174,17 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.splitlines() == [
             "error: floating-point overflow in real arithmetic; "
+            "try smaller penalties or fewer iterations"
+        ]
+
+    def test_overflowing_fixed_run_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "train", "--synthetic", "4,30,2", "--arch", "4,3,2",
+            "--iters", "3", "--beta", "1e308", "--arithmetic", "fixed32",
+        )
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: floating-point invalid value in fixed32 arithmetic; "
             "try smaller penalties or fewer iterations"
         ]
 

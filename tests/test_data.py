@@ -6,6 +6,7 @@ import pytest
 
 from admmlsmr.data import (
     DataError,
+    Dataset,
     add_bias_feature,
     load_csv,
     one_hot,
@@ -148,6 +149,15 @@ def test_one_hot_columns_sum_to_one():
     assert np.array_equal(np.argmax(oh, axis=0), labels)
     with pytest.raises(DataError):
         one_hot(np.array([3]), 3)
+
+
+def test_labels_must_be_dense_indices():
+    # labels are 0-based class indices: a negative one is out of range at
+    # construction, not first in one_hot
+    for labels in ([-1, 0, 1], [0, 1, 2]):
+        with pytest.raises(DataError, match="label index out of range"):
+            Dataset(np.zeros((2, 3)), np.array(labels), 2)
+    assert Dataset(np.zeros((2, 3)), np.array([0, 1, 1]), 2).n_samples == 3
 
 
 def test_subsample(iris):
