@@ -450,6 +450,45 @@ class TestTrain:
         assert sum(report.saturation_per_iteration) == saturation
 
     @pytest.mark.parametrize(
+        "arithmetic, rounding, sqrt_path, digest, saturation",
+        [
+            ("fixed16", "down", "float", "fc95ac0a17f614222b4fbec9791ccef7bcee436bd5f0b36a284f5bc1f6137372", 20039),
+            ("fixed16", "down", "integer", "cc4e75e8a14bbf5baa230e93907a4590dee33f40fe7c2e4fe5ecb9d943b5526c", 20289),
+            ("fixed16", "up", "float", "bf7d007c3bb8df19c67128512eb5d1ce22c5bd3f65c1ff5c45090f696ba68a2d", 20068),
+            ("fixed16", "up", "integer", "33b6a63f4a2de6aef30ceb5e99b7f403756dcbaf6c162234fa94d2e3533df763", 20504),
+            ("fixed16", "nearest", "float", "1b13a82eb994a69ed578cf325e4ed4ee359b27e8de15ce35c1ea16954e1bca48", 20010),
+            ("fixed16", "nearest", "integer", "4d172fa10b0f76f582d8b76ea449fc2efc503bdf3aa9eb7b8838ef3063c6120d", 20727),
+            ("fixed16", "stochastic", "float", "fd3d2a116dec7abe14d86f90b2160389cbd526778992bb950ea4c628d2563458", 20063),
+            ("fixed16", "stochastic", "integer", "7c7c48a95a08e767c308ae449a59200e886a50d9cb64511691e51e893aecd214", 20622),
+            ("fixed32", "down", "float", "93dfb73e62f6cdcd318bca56c0e0abf4569c85f1b9ba4b0ca15822c4006605ef", 1302),
+            ("fixed32", "down", "integer", "8fceeba2ba5b25931a2e76adff1b119762a6a83cb13ade03a36d2e805d527292", 890),
+            ("fixed32", "up", "float", "137dd2d9b0442391730873726d0bf06401f069cc0e77415a302fa488861a6681", 966),
+            ("fixed32", "up", "integer", "c4f7d6a7e1dbee28037008f1bdde0d5fac3142795d80c2563e465b5261c98b0d", 930),
+            ("fixed32", "nearest", "float", "9fd7b49cdc57a8d786c588fe8b4a3d024cdeb919a56b1174940517e0bdeb7e39", 954),
+            ("fixed32", "nearest", "integer", "1a2a2c107eae8e58f9d460d8b7b6f66af1f2cbfc0af553fbaa447e2e8be505e3", 891),
+            ("fixed32", "stochastic", "float", "8fc69b35202820dbcec040c1ef6417a96df58e145573c23dde94337d423f98d9", 896),
+            ("fixed32", "stochastic", "integer", "cc49be311bf829e3d2b70251b6690020410034c71842a7ebc9cf6383b84a4356", 893),
+        ],
+    )
+    def test_fixed_training_matches_recorded_state(
+        self, iris, arithmetic, rounding, sqrt_path, digest, saturation
+    ):
+        # The c10 config in every fixed mode and sqrt path, recorded before
+        # the narrowing casts took their rounding as an added bias; fixed16
+        # saturates thousands of times, so the clamps are pinned too.
+        from admmlsmr.data import split, standardize
+
+        sp = split(iris, 0.2, 0)
+        tr, te, _ = standardize(sp.train, sp.test)
+        cfg = NetworkConfig(
+            [4, 8, 8, 3], iterations=5, beta=0.03, gamma=10.0, seed=0, workers=1,
+            arithmetic=arithmetic, rounding=RoundingMode(rounding), sqrt_path=sqrt_path,
+        )
+        state, report = train(cfg, tr, te)
+        assert state_digest(state) == digest
+        assert sum(report.saturation_per_iteration) == saturation
+
+    @pytest.mark.parametrize(
         "arithmetic, workers",
         [("real", 1), ("fixed32", 1), ("real", 2), ("fixed32", 2)],
         ids=["real", "fixed32", "real-w2", "fixed32-w2"],
