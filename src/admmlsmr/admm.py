@@ -113,12 +113,13 @@ class NetworkConfig:
 
     @staticmethod
     def _expand(value, n: int) -> list[float]:
-        if np.isscalar(value):
-            out = [float(value)] * n
-        else:
-            out = [float(v) for v in value]
-            if len(out) != n:
-                raise ValueError(f"expected {n} penalty values, got {len(out)}")
+        values = [value] * n if np.isscalar(value) else list(value)
+        # float() would parse a string and read a bool as 0 or 1
+        if any(isinstance(v, (str, bytes, bool, np.bool_)) for v in values):
+            raise ValueError(f"penalty parameters must be numbers, got {value!r}")
+        out = [float(v) for v in values]
+        if len(out) != n:
+            raise ValueError(f"expected {n} penalty values, got {len(out)}")
         if not all(np.isfinite(out)):
             raise ValueError(f"penalty parameters must be finite, got {out}")
         if any(v <= 0 for v in out):

@@ -29,6 +29,8 @@ class Dataset:
             raise DataError(
                 f"{self.features.shape[1]} samples vs {len(self.labels)} labels"
             )
+        if self.labels.dtype.kind not in "iu":
+            raise DataError(f"labels must be integer class indices, got {self.labels.dtype}")
         if ((self.labels < 0) | (self.labels >= self.class_count)).any():
             raise DataError("label index out of range")
         if not np.isfinite(self.features).all():

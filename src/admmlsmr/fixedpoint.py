@@ -342,15 +342,18 @@ def _round_scaled(
 # -- wide-container casts ----------------------------------------------------
 
 class ColumnStreams:
-    """One counter-based stream per column, drawn in exact blocks.
+    """One counter-based stream per column, drawn in exact blocks and turned
+    into stochastic-rounding biases.
 
-    A stochastic cast over a ``(..., p)`` array takes the next
+    A stochastic cast over a ``(..., p)`` array takes the biases of the next
     ``prod(shape[:-1])`` uniforms of each of the ``p`` column streams.  A
     stream yields its values strictly in order however they are requested,
-    so drawing a block of uniforms per column into one ``(p, width)`` buffer
-    gives every cast exactly the values that drawing from each column per
-    cast would give, with one generator call per column per block instead of
-    one per column per cast.  The generators must be distinct objects.
+    so drawing a block of uniforms per column gives every cast exactly the
+    values that drawing from each column per cast would give, with one
+    generator call per column per block instead of one per column per cast.
+    Each block becomes an int64 ``(width, p)`` array of biases for ``fmt``
+    (``_stochastic_bias``) once, so a cast takes a contiguous slice.  The
+    generators must be distinct objects.
 
     The caller states its draw schedule: ``first`` uniforms per column
     (default ``block``), then ``block`` at a time.  A block is drawn only
@@ -361,37 +364,63 @@ class ColumnStreams:
     """
 
     def __init__(
-        self, gens: list[np.random.Generator], block: int, first: int | None = None
+        self,
+        gens: list[np.random.Generator],
+        fmt: FixedFormat,
+        block: int,
+        first: int | None = None,
     ) -> None:
         if len({id(g) for g in gens}) != len(gens):
             raise ValueError("each column needs its own random stream")
         self._gens = gens
+        self._fl = fmt.fraction_length
         self._block = block
         self._next = block if first is None else first  # width of the next block
-        self._buf = np.empty((len(gens), 0))
+        self._bias = np.empty((0, len(gens)), dtype=np.int64)
         self._pos = 0
 
     def take(self, shape: tuple[int, ...]) -> np.ndarray:
-        """The next uniforms of every column as a view of ``shape``, valid
-        until the next call."""
+        """The biases of every column's next uniforms as a view of
+        ``shape``, valid until the next call."""
         k = math.prod(shape[:-1])
-        if k and self._pos == self._buf.shape[1]:
-            if self._buf.shape[1] != self._next:
-                self._buf = np.empty((len(self._gens), self._next))
-            for gen, row in zip(self._gens, self._buf):
+        if k and self._pos == len(self._bias):
+            buf = np.empty((len(self._gens), self._next))
+            for gen, row in zip(self._gens, buf):
                 gen.random(out=row)
+            self._bias = _stochastic_bias(buf.T, self._fl)
             self._pos = 0
             self._next = self._block
-        if self._pos + k > self._buf.shape[1]:
+        if self._pos + k > len(self._bias):
             raise RuntimeError(f"a cast of {k} uniforms runs past the end of a block")
-        block = self._buf[:, self._pos : self._pos + k]
+        block = self._bias[self._pos : self._pos + k]
         self._pos += k
-        return block.T.reshape(shape)
+        return block.reshape(shape)
 
     def keep(self, mask: np.ndarray) -> None:
-        """Drop the columns where ``mask`` is false, with their buffer rows."""
+        """Drop the columns where ``mask`` is false, with their biases."""
         self._gens = [gen for gen, kept in zip(self._gens, mask) if kept]
-        self._buf = self._buf[mask]
+        self._bias = self._bias[:, mask]
+
+
+def _stochastic_bias(u: np.ndarray, fl: int) -> np.ndarray:
+    """The stochastic-rounding bias of each uniform ``u`` in [0, 1), as a
+    C-ordered int64 array: ``d = max(ceil(u * 2**fl), 1) - 1``, which lies
+    in ``[0, 2**fl - 1]``.  ``u`` is overwritten.
+
+    Adding ``d`` to a wide value ``t`` with discarded fraction ``f`` (its
+    low ``fl`` bits) and shifting right by ``fl`` rounds up exactly when
+    ``u > 1 - f * 2**-fl``, the rule of Gupta et al., "Deep Learning with
+    Limited Numerical Precision" (ICML 2015): ``u * 2**fl`` is exact, so
+    ``u > 1 - f * 2**-fl`` holds exactly when ``ceil(u * 2**fl) + f >
+    2**fl``, that is when ``f + d >= 2**fl``, and since ``d < 2**fl``,
+    ``(t + d) >> fl = (t >> fl) + [f + d >= 2**fl]``.  The ``max`` maps
+    ``u = 0``, whose ceiling is 0, to ``d = 0``: ceilings 0 and 1 both mean
+    never rounding up.
+    """
+    d = np.ceil(np.multiply(u, float(1 << fl), out=u), out=u)
+    np.maximum(d, 1.0, out=d)
+    d -= 1.0
+    return d.astype(np.int64, order="C")
 
 
 def _count_saturated(
@@ -404,7 +433,10 @@ def _count_saturated(
     result means every cell lies strictly inside the bounds, so a clamp
     would change nothing and the caller skips it.
     """
-    if not t.size or (t.max() < hi and t.min() > lo):
+    # the ufuncs' own reduce skips numpy's Python wrappers, and the initial
+    # values give an empty array extremes strictly inside the bounds
+    if (np.maximum.reduce(t, axis=None, initial=lo) < hi
+            and np.minimum.reduce(t, axis=None, initial=hi) > lo):
         return False
     if stats is not None:
         stats.count(int(np.count_nonzero(t >= hi)) + int(np.count_nonzero(t <= lo)))
@@ -429,36 +461,32 @@ def cast_wide_array(
     """Narrow an int64 array of wide products (2*FL fraction bits) back to
     word reps.
 
-    A cell at or beyond the format bounds shifted up by FL saturates to the
-    bound; otherwise the low FL bits are dropped with the requested rounding
-    applied to the discarded fraction.  The shift is arithmetic, so
-    truncation is toward -inf on the rep.  Down, up and nearest add a bias
-    of 0, ``2**FL - 1`` or ``2**(FL-1)`` to the sum clamped at the shifted
-    bounds, then shift: the clamp saturates, and the bias cannot overflow a
-    clamped sum.  Stochastic rounding draws exactly one uniform per cell,
-    saturated or not, from ``rng`` or from column ``j``'s stream in
-    ``col_rngs``, and clamps the rounded rep.
+    Every mode takes the same three steps.  A sum at or beyond the format
+    bounds shifted up by FL saturates: it is clamped to the shifted bound,
+    only when some cell reached one.  Then a bias is added and the low FL
+    bits are dropped by an arithmetic shift, which truncates toward -inf on
+    the rep.  The bias is 0 for down, ``2**FL - 1`` for up and
+    ``2**(FL-1)`` for nearest; stochastic rounding draws one bias per cell,
+    saturated or not, from the cell's uniform (``_stochastic_bias``), taken
+    from ``rng`` or from column ``j``'s stream in ``col_rngs``.  A clamped
+    sum is a bound's rep with a zero fraction, and a bias below ``2**FL``
+    neither rounds it away from the bound nor overflows it.
     """
     _require_rng(mode, col_rngs if rng is None else rng)
     fl = fmt.fraction_length
-    saturated = _count_saturated(t, fmt.ubound << fl, fmt.lbound << fl, stats)
     rep = np.empty_like(t)  # the out= arrays keep 0-d results arrays
-    if mode is RoundingMode.STOCHASTIC:
-        # Round up when u > 1 - (discarded fraction); both sides are exact.
-        # A sum strictly inside the shifted bounds rounds into the bounds.
-        keep = (t & ((1 << fl) - 1)) * -fmt.epsilon
-        keep += 1.0
-        u = rng.random(t.shape) if col_rngs is None else col_rngs.take(t.shape)
-        np.right_shift(t, fl, out=rep)
-        rep += u > keep
-        return _clamp(rep, fmt.lbound, fmt.ubound, rep) if saturated else rep
-    if saturated:
+    if _count_saturated(t, fmt.ubound << fl, fmt.lbound << fl, stats):
         t = _clamp(t, fmt.lbound << fl, fmt.ubound << fl, rep)
-    if mode is RoundingMode.UP:
-        t = np.add(t, (1 << fl) - 1, out=rep)
-    elif mode is RoundingMode.NEAREST:
-        t = np.add(t, 1 << (fl - 1), out=rep)
-    return np.right_shift(t, fl, out=rep)
+    if mode is RoundingMode.DOWN:
+        return np.right_shift(t, fl, out=rep)
+    if mode is RoundingMode.STOCHASTIC:
+        bias = (
+            _stochastic_bias(rng.random(t.shape), fl)
+            if col_rngs is None else col_rngs.take(t.shape)
+        )
+    else:
+        bias = (1 << fl) - 1 if mode is RoundingMode.UP else 1 << (fl - 1)
+    return np.right_shift(np.add(t, bias, out=rep), fl, out=rep)
 
 
 def cast_wide_simple_array(
@@ -511,10 +539,10 @@ def saturating_acc_add(
 def trunc_div_array(num: np.ndarray, den: np.ndarray | int) -> np.ndarray:
     """C-style integer division: truncates toward zero.  Preconditions,
     unchecked: ``den`` is non-zero and ``|num| < 2**53``.  Its callers are
-    ``_FixedOps.div``, which reads a zero divisor as one, and the fixed
-    Givens rotation, whose ranges keep its divisors non-zero; each numerator
-    there is a word rep shifted by FL, below 2**49 in FIXED32 and 2**25 in
-    FIXED16.
+    ``_FixedOps.div`` and ``_FixedOps.unit``, which read a zero divisor as
+    one, and the fixed Givens rotation, whose ranges keep its divisors
+    non-zero; each numerator there is a word rep shifted by FL, below 2**49
+    in FIXED32 and 2**25 in FIXED16.
 
     The int64 result is ``trunc(float64(num) / float64(den))``, which is
     exact.  ``num`` converts exactly, and so does ``den`` when
@@ -537,14 +565,18 @@ def float_sqrt_array(
     """Square roots of int64 wide sums of squares (2*FL fraction bits, >= 0
     unchecked) via double arithmetic.
 
-    Converts each wide value to a double, takes the IEEE sqrt and quantizes
-    back with nearest rounding, saturating at the upper bound.  In units of
-    2**-FL the root is ``sqrt(t * 2**-2FL) * 2**FL``, which is exactly
-    ``sqrt(t)``, since scaling by an even power of two commutes with a
-    correctly rounded root.  This is the default norm path.
+    Takes the IEEE sqrt of each wide value and rounds it to the nearest rep,
+    saturating at the upper bound.  In units of 2**-FL the root is
+    ``sqrt(t * 2**-2FL) * 2**FL``, which is exactly ``sqrt(t)``, since
+    scaling by an even power of two commutes with a correctly rounded root;
+    for the same reason checking ``sqrt(t)`` against the upper bound's rep
+    is exact.  A root is never negative or NaN, so only that bound can be
+    reached.  This is the default norm path.
     """
-    root = np.sqrt(t.astype(np.float64))
-    return convert_array(root * fmt.epsilon, fmt, RoundingMode.NEAREST, stats=stats)
+    root = np.sqrt(t, out=np.empty(t.shape))
+    if _count_saturated(root, fmt.ubound, fmt.lbound, stats):
+        np.minimum(root, fmt.ubound, out=root)
+    return _round_scaled(root, RoundingMode.NEAREST)
 
 
 _ISQRT_INT64_MAX = math.isqrt(_INT64_MAX)  # 3037000499

@@ -6,11 +6,12 @@ of right-hand-side columns together against an ops object that supplies the
 arithmetic, and keeps every column independent of the others, so any split
 of the columns into blocks gives bit-identical results, saturation counts
 and stream positions.  Each ops object also supplies the recurrence's two
-Givens rotations per iteration (``rotate``).  The fixed one runs the word
-operations of the real one in the same order, and skips only the clamps and
-guards that the rotation's ranges make dead, so it computes the bits the
-generic word operations would.  Fixed operands are checked once, where
-they enter: a ``FixedMatrix`` holds in-range reps only.
+Givens rotations per iteration (``rotate``) and its unit normalisations
+(``unit``).  The fixed ones run the word operations of the real ones in the
+same order, and skip only the clamps and guards that their ranges make
+dead, so they compute the bits the generic word operations would.  Fixed
+operands are checked once, where they enter: a ``FixedMatrix`` holds
+in-range reps only.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from .fixedpoint import (
     RoundingMode,
     SaturationStats,
     _isqrt_array,
-    _round_scaled,
     cast_wide_array,
     cast_wide_simple_array,
     float_sqrt_array,
@@ -59,6 +59,8 @@ class _RealOps:
     def div(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
         """``num / den``, with a zero denominator read as one."""
         return num / np.where(den == 0, self.one, den)
+
+    unit = div
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a + b
@@ -141,6 +143,25 @@ class _FixedOps:
         q = trunc_div_array(num << self._fl, den)
         return cast_wide_simple_array(q, self.fmt, self.stats)
 
+    def unit(self, vec: np.ndarray, norm: np.ndarray) -> np.ndarray:
+        """``div(vec, norm)`` for a column ``norm`` of ``vec`` itself, which
+        skips the narrowing check: no quotient can reach a bound.
+
+        ``norm`` is the rounded or clamped root of a sum of squares that is
+        at least ``vec_i**2`` (the sum only grows, and a saturated one sits
+        at the wide bound, above every square of a rep).  The integer root
+        is monotone.  The float root is at least ``|vec_i| (1 - 2**-52)``,
+        since converting the sum and taking the root each lose a relative
+        2**-53 at most, and that is above ``|vec_i| - 1/2``, so rounding it
+        to nearest gives at least ``|vec_i|``.  The clamp at the upper bound
+        keeps that, since ``|vec_i|`` is itself a rep.  So
+        ``norm >= |vec_i|`` and the truncated quotient has magnitude at most
+        ``one``, strictly inside the bounds when the format has an integer
+        bit beside the sign.  A zero norm means a zero vector, whose
+        quotient by one is zero.
+        """
+        return trunc_div_array(vec << self._fl, np.where(norm == 0, self.one, norm))
+
     def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return cast_wide_simple_array(a - b, self.fmt, self.stats)
 
@@ -170,7 +191,8 @@ class _FixedOps:
         tau``, ``r = big / lead``) with the rounding of ``div``,
         ``_sqrt_wide`` and ``mul``.  It skips only the guards and clamps
         that these ranges make dead, so every bit, saturation count and draw
-        equals the generic operations':
+        equals the generic operations'.  ``other`` keeps its checked
+        ``cast_wide_array`` call, through which it draws:
 
         - ``|small| <= |big|``, so ``|tau| <= one``: its narrowing cannot
           saturate.  Its zero guard is live: ``big`` is 0 on a (0, 0) lane.
@@ -178,6 +200,9 @@ class _FixedOps:
           fraction bits), so ``one <= h <= sqrt(2) one``: the root is never
           negative, NaN or saturated, since ``sqrt(2) one`` is below the
           upper bound when the format has an integer bit beside the sign.
+          The float root rounds to nearest as ``floor(sqrt(wide) + 0.5)``:
+          the addition is exact, since ``sqrt(wide) + 0.5`` stays in the
+          binade ``[one, 2 one)`` of the root.
         - ``h >= one``, so ``lead``'s divisor is never zero and
           ``|lead| <= one`` cannot saturate; ``|lead|`` is about
           ``one/sqrt(2)`` or more, so ``r``'s divisor is never zero either.
@@ -194,7 +219,8 @@ class _FixedOps:
         tau = trunc_div_array(small << fl, np.where(big == 0, self.one, big))
         wide = self._one_wide + tau * tau
         if self.sqrt_path == "float":
-            h = _round_scaled(np.sqrt(wide.astype(np.float64)), RoundingMode.NEAREST)
+            # truncating a positive value floors it
+            h = (np.sqrt(wide) + 0.5).astype(np.int64)
         else:
             h = _isqrt_array(wide)
         lead = trunc_div_array(np.where(big >= 0, self._one_wide, self._minus_one_wide), h)
@@ -230,11 +256,11 @@ def _solve_block(
 
     beta = ops.norm_cols(b)
     active = beta != 0
-    u = ops.div(b, beta)
+    u = ops.unit(b, beta)
     w = ops.matmul(at, u)
     alpha = ops.norm_cols(w)
     active &= alpha != 0
-    v = ops.div(w, alpha)
+    v = ops.unit(w, alpha)
 
     zetabar = ops.mul(alpha, beta)
     alphabar = alpha.copy()
@@ -264,28 +290,31 @@ def _solve_block(
         beta = ops.norm_cols(s_vec)
         # A zero norm means the vector itself is all zeros, so the guarded
         # division below already yields the zero vector on breakdown lanes.
-        u = ops.div(s_vec, beta)
+        u = ops.unit(s_vec, beta)
         t_vec = ops.sub(ops.matmul(at, u), ops.mul(v, beta))
         alpha = ops.norm_cols(t_vec)
-        v = ops.div(t_vec, alpha)
+        v = ops.unit(t_vec, alpha)
 
+        # Per-lane word operations that sit next to each other run as one
+        # call over stacked rows, in the order they draw.
         c, s, rho_new = ops.rotate(alphabar, beta)
-        alphabar = ops.mul(c, alpha)
-        theta = ops.mul(s, alpha)
+        alphabar, theta = ops.mul(np.array((c, s)), alpha)
         cbar, sbar_new, rhobar_new = ops.rotate(ops.mul(cbar, rho_new), theta)
-        zeta = ops.mul(cbar, zetabar)
-        zetabar = ops.neg(ops.mul(sbar_new, zetabar))
+        zeta, zetabar = ops.mul(np.array((cbar, sbar_new)), zetabar)
+        zetabar = ops.neg(zetabar)
 
-        den_prev = ops.mul(rho, rhobar)
-        den_cur = ops.mul(rho_new, rhobar_new)
+        den_prev, den_cur, sbar_rho = ops.mul(
+            np.array((rho, rho_new, sbar)), np.array((rhobar, rhobar_new, rho_new))
+        )
+        dens = np.array((den_prev, den_cur, rho_new))
         # A lane whose quotient denominators are (or round to) zero cannot
         # complete this iteration: it keeps its iterate and leaves.
-        commit = (den_prev != 0) & (den_cur != 0) & (rho_new != 0)
-        coef_hbar = ops.div(ops.mul(ops.mul(sbar, rho_new), rho_new), den_prev)
+        commit = (dens != 0).all(axis=0)
+        coef_hbar, coef_x, coef_h = ops.div(
+            np.array((ops.mul(sbar_rho, rho_new), zeta, theta)), dens
+        )
         hbar = ops.sub(h, ops.mul(hbar, coef_hbar))
-        coef_x = ops.div(zeta, den_cur)
         x = np.where(commit, ops.add(x, ops.mul(hbar, coef_x)), x)
-        coef_h = ops.div(theta, rho_new)
         h = ops.sub(v, ops.mul(h, coef_h))
         rho, rhobar, sbar = rho_new, rhobar_new, sbar_new
         # An exhausted lane (zero beta or alpha) keeps this iteration's
@@ -405,7 +434,7 @@ def lsmr_solve_multi(
             raise ValueError("stochastic rounding requires a stream factory")
         m, n = job.a.shape
         gens = [stream_factory(j) for j in range(cols.start, cols.stop)]
-        streams = ColumnStreams(gens, 2 * m + 5 * n + 11, first=n + 1)
+        streams = ColumnStreams(gens, job.a.fmt, 2 * m + 5 * n + 11, first=n + 1)
     ops = _FixedOps(job.a.fmt, mode, streams, sqrt_path, stats)
     x = _solve_block(ops, job.a, job.a.T, job.b.data[:, cols], job.iter_count)
     return FixedMatrix(x, job.a.fmt)

@@ -115,6 +115,26 @@ def oracle_stochastic_cast(
     return out
 
 
+class ScriptedStream:
+    """A stand-in for a generator whose ``random`` returns preset uniforms
+    in order, so a test can put a draw exactly on a rounding threshold,
+    where random uniforms almost never land."""
+
+    def __init__(self, values) -> None:
+        self.values = np.asarray(values, dtype=np.float64).ravel()
+        self.pos = 0
+
+    def random(self, size=None, out=None):
+        if out is None:
+            out = np.empty(() if size is None else size)
+        end = self.pos + out.size
+        if end > self.values.size:
+            raise IndexError("the scripted uniforms are used up")
+        out[...] = self.values[self.pos : end].reshape(out.shape)
+        self.pos = end
+        return float(out) if size is None and out.ndim == 0 else out
+
+
 # -- the fixed-point solver, one column in Python ints ------------------------------
 
 class OracleWords:

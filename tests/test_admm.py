@@ -184,6 +184,12 @@ class TestInit:
                 NetworkConfig([4, 8, 3], beta=bad)
             with pytest.raises(ValueError, match="finite"):
                 NetworkConfig([4, 8, 3], gamma=[bad])
+        for bad in (
+            dict(beta="0.5"), dict(gamma=True), dict(beta=[True, "2"]),
+            dict(beta=np.True_), dict(gamma=[np.bool_(True)]), dict(beta=b"1"),
+        ):
+            with pytest.raises(ValueError, match="numbers"):
+                NetworkConfig(**{"layer_dims": [4, 8, 3], **bad})
         with pytest.raises(ValueError):
             NetworkConfig([4, 8, 3], sqrt_path="newton")
         with pytest.raises(ValueError):

@@ -160,6 +160,17 @@ def test_labels_must_be_dense_indices():
     assert Dataset(np.zeros((2, 3)), np.array([0, 1, 1]), 2).n_samples == 3
 
 
+def test_labels_must_be_integers():
+    # a float label array would get as far as one_hot's indexing in train
+    features = np.arange(24.0).reshape(4, 6)
+    for labels in ([0.5, 0, 1, 1, 0, 2.0], [0.0, 1.0, 2.0, 0.0, 1.0, 2.0]):
+        with pytest.raises(DataError, match="integer"):
+            Dataset(features, np.array(labels), 3)
+    with pytest.raises(DataError, match="integer"):
+        Dataset(features, np.array([True, False] * 3), 2)
+    assert Dataset(features, np.array([0, 1, 2] * 2, dtype=np.uint8), 3).n_samples == 6
+
+
 def test_subsample(iris):
     sub = subsample(iris, 40, 7)
     assert sub.n_samples == 40

@@ -35,6 +35,7 @@ from admmlsmr.fixedpoint import (
 )
 from admmlsmr.lsmr import _FixedOps
 from conftest import (
+    ScriptedStream,
     oracle_cast_wide,
     oracle_convert,
     oracle_stochastic_cast,
@@ -53,7 +54,7 @@ def rng_for(mode, seed=0):
 def fixed_ops(fmt, mode=RoundingMode.NEAREST, rng=None):
     """The solver's word arithmetic; a stochastic cast of one column draws
     from ``rng``."""
-    streams = None if rng is None else ColumnStreams([rng], 1)
+    streams = None if rng is None else ColumnStreams([rng], fmt, 1)
     return _FixedOps(fmt, mode, streams, "float", None)
 
 
@@ -450,7 +451,7 @@ class TestExtremesAtTheBounds:
         for mode, stats in self.runs(ALL_MODES):
             if mode is RoundingMode.STOCHASTIC:
                 gens = [make_stream(5, j) for j in range(self.P)]
-                streams = ColumnStreams(gens, t.shape[0])
+                streams = ColumnStreams(gens, fmt, t.shape[0])
                 got = cast_wide_array(t, fmt, mode, col_rngs=streams, stats=stats)
                 want = oracle_stochastic_cast(t, fmt, [make_stream(5, j) for j in range(self.P)])
             else:
@@ -725,7 +726,7 @@ class TestStreams:
         p = casts[0].shape[-1]
         mine = [make_stream(seed, j) for j in range(p)]
         theirs = [make_stream(seed, j) for j in range(p)]
-        streams = ColumnStreams(mine, block, first)
+        streams = ColumnStreams(mine, fmt, block, first)
         got_stats, want_stats = SaturationStats(), SaturationStats()
         for t in casts:
             got = cast_wide_array(t, fmt, RoundingMode.STOCHASTIC, col_rngs=streams, stats=got_stats)
@@ -735,15 +736,61 @@ class TestStreams:
         assert got_stats.events == want_stats.events
         assert [g.random() for g in mine] == [g.random() for g in theirs]
         # A cast that runs past the end of the first block raises.
-        straddle = ColumnStreams([make_stream(seed, p)], block, first)
+        straddle = ColumnStreams([make_stream(seed, p)], fmt, block, first)
         straddle.take((first - 1, 1))
         with pytest.raises(RuntimeError):
             straddle.take((2, 1))
 
+    @pytest.mark.parametrize("fmt", [FIXED16, FIXED32], ids=["fixed16", "fixed32"])
+    def test_stochastic_rounding_edges(self, fmt):
+        # Uniforms at, just around and far from each cell's threshold
+        # 1 - f * 2**-FL (exactly on it must not round up), for cells inside,
+        # on and beyond both bounds, through both ways of drawing.
+        fl, one = fmt.fraction_length, fmt.one
+        cells, uniforms = [], []
+        for f in (1, one // 2 - 1, one // 2, one - 1):
+            threshold = 1.0 - f * fmt.epsilon
+            us = (0.0, 2.0**-53, threshold, np.nextafter(threshold, 1.0),
+                  np.nextafter(threshold, 0.0), 1.0 - 2.0**-53)
+            # rep parts inside the bounds (one at the top rounds onto the
+            # upper bound), then just beyond each bound
+            for k in (0, -1, 3, fmt.ubound - 1, fmt.lbound, fmt.ubound, fmt.lbound - 1):
+                cells += [(k << fl) + f] * len(us)
+                uniforms += us
+        for t in (fmt.ubound << fl, fmt.lbound << fl):  # on a bound
+            us = (0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53)
+            cells += [t] * len(us)
+            uniforms += us
+        p = 3
+        pad = -len(cells) % p
+        t = np.array(cells + [0] * pad, dtype=np.int64).reshape(-1, p)
+        u = np.array(uniforms + [0.0] * pad).reshape(-1, p)
+        want_stats = SaturationStats()
+        want = oracle_stochastic_cast(
+            t, fmt, [ScriptedStream(u[:, j]) for j in range(p)], want_stats
+        )
+        # two rep parts beyond a bound x 4 fractions x 6 uniforms, and the
+        # 8 cells on a bound
+        assert want_stats.events == 2 * 4 * 6 + 8
+
+        gens = [ScriptedStream(u[:, j]) for j in range(p)]
+        streams = ColumnStreams(gens, fmt, len(t))
+        col_stats, rng_stats = SaturationStats(), SaturationStats()
+        got = cast_wide_array(t, fmt, RoundingMode.STOCHASTIC, col_rngs=streams, stats=col_stats)
+        assert got.tolist() == want.tolist()
+        assert col_stats.events == want_stats.events
+        assert all(gen.pos == len(t) for gen in gens)
+
+        rng = ScriptedStream(u)
+        got = cast_wide_array(t, fmt, RoundingMode.STOCHASTIC, rng, stats=rng_stats)
+        assert got.tolist() == want.tolist()
+        assert rng_stats.events == want_stats.events
+        assert rng.pos == u.size
+
     def test_shared_generator_rejected(self):
         gen = make_stream(1, 2)
         with pytest.raises(ValueError):
-            ColumnStreams([gen, gen], 4)
+            ColumnStreams([gen, gen], FIXED32, 4)
 
     def test_word_value_property(self):
         w = FixedWord(FIXED16.one, FIXED16)

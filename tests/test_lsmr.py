@@ -121,7 +121,7 @@ class TestSym:
         a, b = rotation_lanes(fmt, 3)
 
         def rotate_fixed(a, b, gens, stats):
-            streams = ColumnStreams(gens, 1) if mode is RoundingMode.STOCHASTIC else None
+            streams = ColumnStreams(gens, fmt, 1) if mode is RoundingMode.STOCHASTIC else None
             return rotate(_FixedOps(fmt, mode, streams, sqrt_path, stats), a, b)
 
         lane_gens = [make_stream(6, j) for j in range(a.size)]
@@ -256,7 +256,7 @@ class TestFixedSolve:
         assert x.data[:, 0].tolist() == solution
         assert gen.random() == 0.4298379211601343
         gen = make_stream(4, 3)
-        ops = _FixedOps(fmt, mode, ColumnStreams([gen], 1), "float", None)
+        ops = _FixedOps(fmt, mode, ColumnStreams([gen], fmt, 1), "float", None)
         assert rotate(ops, [3 * fmt.one // 4], [-fmt.one // 3])[:, 0].tolist() == rotation
         assert gen.random() == 0.2209966912170116
 
@@ -275,14 +275,17 @@ class TestFixedOps:
 class TestKernelLookups:
     # Calls per fixed solve of a 9 x 4 system, 3 columns, 4 iterations.  Each
     # of the 8 rotations computes its 3 quotients with trunc_div_array (24 of
-    # the 46 calls), narrows r (one cast_wide_simple_array call) and rounds
+    # the 38 calls), narrows r (one cast_wide_simple_array call) and rounds
     # other through cast_wide_array; its root is taken inline, which these
-    # counts leave out.
+    # counts leave out.  The 10 unit normalisations divide unchecked, and
+    # each iteration's three coefficient quotients are one div.  Stacked
+    # per-lane products make 14 cast_wide_array calls an iteration, after 2
+    # before the loop.
     EXPECTED = {
         "accumulate_product_wide": 9,
-        "trunc_div_array": 46,
-        "cast_wide_array": 74,
-        "cast_wide_simple_array": 54,
+        "trunc_div_array": 38,
+        "cast_wide_array": 58,
+        "cast_wide_simple_array": 36,
         "sum_squares_wide": 10,
         "float_sqrt_array": 10,
     }
@@ -636,7 +639,7 @@ class TestOracle:
         # bound-valued lanes saturate) and its stream's next draw
         a, b = rotation_lanes(fmt, seed)
         gens = [make_stream(6, j) for j in range(a.size)]
-        streams = ColumnStreams(gens, 1) if mode is RoundingMode.STOCHASTIC else None
+        streams = ColumnStreams(gens, fmt, 1) if mode is RoundingMode.STOCHASTIC else None
         stats = SaturationStats()
         got = rotate(_FixedOps(fmt, mode, streams, sqrt_path, stats), a, b)
         events = 0
