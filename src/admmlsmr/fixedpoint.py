@@ -569,9 +569,9 @@ def float_sqrt_array(
     saturating at the upper bound.  In units of 2**-FL the root is
     ``sqrt(t * 2**-2FL) * 2**FL``, which is exactly ``sqrt(t)``, since
     scaling by an even power of two commutes with a correctly rounded root;
-    for the same reason checking ``sqrt(t)`` against the upper bound's rep
-    is exact.  A root is never negative or NaN, so only that bound can be
-    reached.  This is the default norm path.
+    and since scaling by 2**-FL is exact, checking ``sqrt(t)`` against the
+    upper bound's rep is exact too.  A root is never negative or NaN, so
+    only that bound can be reached.  This is the default norm path.
     """
     root = np.sqrt(t, out=np.empty(t.shape))
     if _count_saturated(root, fmt.ubound, fmt.lbound, stats):

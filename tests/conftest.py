@@ -132,7 +132,7 @@ class ScriptedStream:
             raise IndexError("the scripted uniforms are used up")
         out[...] = self.values[self.pos : end].reshape(out.shape)
         self.pos = end
-        return float(out) if size is None and out.ndim == 0 else out
+        return out
 
 
 # -- the fixed-point solver, one column in Python ints ------------------------------
