@@ -639,6 +639,29 @@ class TestSqrt:
         got = float_sqrt_array(np.array([FIXED32.one * FIXED32.one, t25]), FIXED32)
         assert got.tolist() == [FIXED32.one, 5 * FIXED32.one]
 
+    @pytest.mark.parametrize("fmt", [FIXED16, FIXED32], ids=["fixed16", "fixed32"])
+    def test_float_root_edges_match_oracle(self, fmt):
+        # Roots at and next to a half (k**2 + k, k**2 + k + 1) and at squares,
+        # powers of two and their neighbours, and sums past ubound**2.  Above
+        # about 2**44, sqrt(k**2 + k) rounds to exactly k + 1/2, which must
+        # round up: ties to even or a plain floor fail here.
+        top = fmt.wide_ubound
+        ks = list(range(50)) + [fmt.ubound + d for d in range(-3, 3)]
+        for centre in (1 << 8, 1 << 13, 1 << 20, 1 << 26, 94906265, 1 << 30):
+            ks += range(centre - 3, centre + 4)
+        rng = np.random.default_rng(23)
+        ks += rng.integers(1, math.isqrt(top), size=300).tolist()
+        ts = [t for k in ks for t in (k * k, k * k + k, k * k + k + 1)]
+        ts += [(1 << e) + d for e in range(2 * fmt.word_length - 1) for d in (-1, 0, 1)]
+        ub2 = fmt.ubound * fmt.ubound
+        ts += [ub2, ub2 + 1, ub2 + fmt.ubound, ub2 + fmt.ubound + 1, top - 1, top]
+        ts = [t for t in ts if 0 <= t <= top]
+        roots = [math.sqrt(float(t) * fmt.epsilon**2) for t in ts]
+        stats = SaturationStats()
+        got = float_sqrt_array(np.array(ts, dtype=np.int64), fmt, stats)
+        assert got.tolist() == [oracle_convert(r, fmt, RoundingMode.NEAREST) for r in roots]
+        assert stats.events == sum(r >= fmt.ubound_value for r in roots)
+
     def test_paths_agree_within_epsilon(self):
         rng = np.random.default_rng(19)
         max_t = (FIXED32.ubound * FIXED32.ubound)  # keep true root in range
@@ -675,6 +698,35 @@ class TestAccumulator:
         out = saturating_acc_add(acc, term, FIXED16, stats)
         assert out[0] == 2**31 - 1
         assert stats.events == 1
+
+    @pytest.mark.parametrize("fmt", [FIXED16, FIXED32], ids=["fixed16", "fixed32"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_python_int_clamp(self, fmt, data):
+        # Cells summing exactly to a wide bound (no event), one past it (one
+        # event) and one inside it, at both bounds, always, then random
+        # cells and more such cells.  An event is a sum strictly beyond a
+        # bound.
+        lo, hi = fmt.wide_lbound, fmt.wide_ubound
+        wide = st.integers(lo, hi)
+        edge = st.tuples(st.integers(1, hi), st.sampled_from([-1, 0, 1]), st.booleans())
+
+        def at_bound(cell):
+            # a pair whose sum lies ``step`` beyond the upper or lower bound
+            term, step, upper = cell
+            return (hi + step - term, term) if upper else (lo - step + term, -term)
+
+        pairs = [at_bound((hi // 3, step, upper)) for step in (-1, 0, 1) for upper in (True, False)]
+        pairs += data.draw(st.lists(
+            st.one_of(st.tuples(wide, wide), edge.map(at_bound)), max_size=33,
+        ))
+        acc = np.array([a for a, _ in pairs], dtype=np.int64)
+        term = np.array([t for _, t in pairs], dtype=np.int64)
+        sums = [a + t for a, t in pairs]
+        stats = SaturationStats()
+        got = saturating_acc_add(acc, term, fmt, stats)
+        assert got.tolist() == [min(max(s, lo), hi) for s in sums]
+        assert stats.events == sum(s > hi or s < lo for s in sums)
 
 
 class TestStreams:
@@ -829,6 +881,7 @@ class TestStreamKeys:
     @example(2**32 - 1, [3, 2**32 + 5], [])
     @example(2**64 + 3, [2, 2**33], [7])
     @example(2**128 + 9, [], [0, 5])
+    @example(2**200 + 3, [3, 2**40], [0, 2**32 - 1])
     def test_keys_match_seed_sequence(self, seed, key, cols):
         # Every column's key equals numpy's SeedSequence with the column as
         # the last spawn-key word, and the prefix alone equals its own key.
