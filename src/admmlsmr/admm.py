@@ -296,11 +296,11 @@ class SolveEngine:
 
     A stochastic solve with id ``job`` draws from one stream for its
     quantize hop, ``make_stream(seed, 2, job)``, and one per column ``j``,
-    ``make_stream(seed, 3, job, j)``.  The engine builds neither: it keeps a
-    pool of generators and restarts them under those streams' keys
-    (``rekey``).  A solve derives all its column keys in one
-    ``stream_keys`` pass, and pooled generator ``j`` serves column ``j`` of
-    every solve.
+    the stream of ``make_stream(seed, 3, job, j)``.  The column streams are
+    not built: the engine keeps a pool of generators and restarts them
+    under those streams' keys (``rekey``).  A solve derives all its column
+    keys in one ``stream_keys`` pass, and pooled generator ``j`` serves
+    column ``j`` of every solve.
     """
 
     def __init__(self, cfg: NetworkConfig) -> None:
@@ -309,9 +309,8 @@ class SolveEngine:
         self.mode = cfg.rounding
         self._job_counter = 0
         self.saturation = SaturationStats()
-        # the pool: every generator is re-keyed before each use, so how it
-        # was first seeded never shows
-        self._quantize_stream = np.random.Generator(np.random.Philox())
+        # the column pool: every generator is re-keyed before each use, so
+        # how it was first seeded never shows
         self._column_streams: list[np.random.Generator] = []
 
     def _next_job_id(self) -> int:
@@ -331,8 +330,6 @@ class SolveEngine:
         prep_start = time.perf_counter()
         job_id = self._next_job_id()
         iters = self.cfg.lsmr_iterations
-        if iters is None:
-            iters = min(a.shape)
         n, p = a.shape[1], b.shape[1]
 
         stream_factory = None
@@ -342,8 +339,7 @@ class SolveEngine:
         else:
             q_rng = None
             if self.mode is RoundingMode.STOCHASTIC:
-                q_key = stream_keys(self.cfg.seed, (_TAG_QUANTIZE, job_id))
-                q_rng = rekey(self._quantize_stream, q_key.tolist())
+                q_rng = make_stream(self.cfg.seed, _TAG_QUANTIZE, job_id)
                 stream_factory = self._round_streams(job_id, p)
             a_solver = quantize_matrix(a, self.fmt, self.mode, q_rng, self.saturation)
             b_solver = quantize_matrix(b, self.fmt, self.mode, q_rng, self.saturation)

@@ -223,7 +223,8 @@ def cmd_selftest(args) -> int:
     saturated = convert(1e10, FIXED32)
     checks.append(("32-bit conversion saturates at the upper bound",
                    saturated.rep == FIXED32.ubound))
-    # the stream keys re-implement numpy's SeedSequence mixing; check it here
+    # the stream keys mix the column word as numpy's SeedSequence does;
+    # check it here
     for seed, key, col in ((0, (3, 1), 0), (2**32 + 7, (3, 2**33), 119),
                            (2**70 + 5, (2, 9), 2**32 - 1)):
         want = np.random.SeedSequence(seed, spawn_key=(*key, col)).generate_state(2, np.uint64)

@@ -25,6 +25,8 @@ class Dataset:
     def __post_init__(self) -> None:
         if self.features.ndim != 2:
             raise DataError(f"features must be 2-D, got shape {self.features.shape}")
+        if self.labels.ndim != 1:
+            raise DataError(f"labels must be 1-D, got shape {self.labels.shape}")
         if self.features.shape[1] != len(self.labels):
             raise DataError(
                 f"{self.features.shape[1]} samples vs {len(self.labels)} labels"

@@ -31,7 +31,6 @@ class RoundingMode(Enum):
 DETERMINISTIC_MODES = (RoundingMode.DOWN, RoundingMode.UP, RoundingMode.NEAREST)
 
 _INT64_MAX = (1 << 63) - 1
-_INT64_MIN = -(1 << 63)
 
 
 class FixedFormatError(ValueError):
@@ -138,7 +137,7 @@ def value_of(w: FixedWord) -> float:
 # .generate_state(2, np.uint64)`` gives.  numpy hashes 32-bit entropy words
 # into a pool of four, and its hash constant advances with the number of
 # hash calls alone, never with the data; so keys that differ only in their
-# last word share the mixing of every word before it, and the last words of
+# last word share the pool of every word before it, and the last words of
 # many keys mix as one uint32 array.  numpy's constants:
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -149,8 +148,8 @@ _ZEROS = (0, 0, 0, 0)
 
 
 def _words(value) -> list[int]:
-    """The little-endian 32-bit words of a non-negative integer; zero is one
-    word."""
+    """The little-endian 32-bit words of a non-negative integer, as numpy
+    splits entropy; zero is one word.  Anything else raises ``ValueError``."""
     if not isinstance(value, (int, np.integer)) or value < 0:
         raise ValueError(f"expected non-negative integer, got {value!r}")
     value = int(value)
@@ -161,16 +160,19 @@ def _words(value) -> list[int]:
 
 
 @lru_cache(maxsize=64)
-def _hash_constants(init: int, mult: int, count: int) -> tuple[int, ...]:
-    """The first ``count`` hash constants: ``init * mult**k mod 2**32``."""
-    consts = [init]
-    for _ in range(count - 1):
-        consts.append(consts[-1] * mult & _MASK32)
-    return tuple(consts)
+def _hash_constants(init: int, mult: int, start: int) -> np.ndarray:
+    """Hash constants ``start`` to ``start + 4``, ``init * mult**k mod
+    2**32``, as a read-only ``(5, 1)`` uint32 array."""
+    consts = np.array(
+        [init * pow(mult, k, 1 << 32) & _MASK32 for k in range(start, start + _POOL + 1)],
+        np.uint32,
+    )[:, None]
+    consts.flags.writeable = False
+    return consts
 
 
-# Both hashes take Python ints or uint32 arrays; an array's products wrap
-# modulo 2**32, as numpy's C code does, and the mask then changes nothing.
+# Both hashes take uint32 arrays, whose products wrap modulo 2**32 as numpy's
+# C code does; the mask then changes nothing.
 
 def _hashmix(value, const, next_const):
     """numpy's hash of one word, entered with constant ``const``, which it
@@ -184,62 +186,34 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-@lru_cache(maxsize=16)
-def _seeded_pool(first: tuple[int, ...]) -> tuple[int, ...]:
-    """The pool after its first four entropy words: each hashed in, then
-    every word mixed into every other."""
-    c = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + 1)
-    pool = [_hashmix(w, c[i], c[i + 1]) for i, w in enumerate(first)]
-    at = _POOL
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if dst != src:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[at], c[at + 1]))
-                at += 1
-    return tuple(pool)
-
-
-def stream_keys(seed: int, key: Sequence[int] = (), cols=None) -> np.ndarray:
+def stream_keys(seed: int, key: Sequence[int], cols) -> np.ndarray:
     """Philox keys of ``SeedSequence(entropy=seed, spawn_key=(*key, c))`` for
-    every ``c`` in ``cols``, as a ``(len(cols), 2)`` uint64 array; with
-    ``cols`` None, the ``(2,)`` key of ``spawn_key=key`` itself.
+    every ``c`` in ``cols``, as a ``(len(cols), 2)`` uint64 array.
 
-    The seed and the key words are mixed once, and the column words as one
-    array.  The seed and each key value must be non-negative integers, and
-    each column an integer below 2**32 (one word); anything else raises
-    ``ValueError``.
+    numpy mixes the seed and the key words into the pool of
+    ``SeedSequence(entropy=seed, spawn_key=key)``; only the column words are
+    mixed here, as one array, and hashed out.  The seed and each key value
+    must be non-negative integers, and each column an integer below 2**32
+    (one word); anything else raises ``ValueError``.
     """
-    # numpy pads a short seed with zeros before a spawn key, and hashes zeros
-    # into the pool words a seed alone leaves empty: one padding serves both
-    words = _words(seed)
-    words += [0] * (_POOL - len(words))
-    for k in key:
-        words += _words(k)
-    pool = list(_seeded_pool(tuple(words[:_POOL])))
-    tail = words[_POOL:]
-    # the first four words took 16 hash calls; every later word takes four
-    at = _POOL * _POOL
-    c = _hash_constants(_INIT_A, _MULT_A, at + _POOL * (len(tail) + 1) + 1)
-    for w in tail:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], _hashmix(w, c[at], c[at + 1]))
-            at += 1
-    pool = np.array(pool, np.uint32)[:, None]
-    if cols is not None:
-        col_words = np.asarray(cols)
-        if col_words.ndim != 1 or col_words.size and (
-            col_words.dtype.kind not in "iu" or col_words.min() < 0
-            or col_words.max() > _MASK32
-        ):
-            raise ValueError(f"columns must be integers in [0, 2**32), got {cols!r}")
-        # the column word's four hashes, one row each, over all columns
-        hc = np.array(c[at : at + _POOL + 1], np.uint32)[:, None]
-        pool = _mix(pool, _hashmix(col_words.astype(np.uint32), hc[:-1], hc[1:]))
-    hc = np.array(_hash_constants(_INIT_B, _MULT_B, _POOL + 1), np.uint32)[:, None]
+    # numpy pads a seed of fewer than four words with zeros before a spawn
+    # key, and hashes zeros into the pool words a seed alone leaves empty;
+    # each word before the column's took four hash calls either way
+    n_words = max(len(_words(seed)), _POOL) + sum(len(_words(k)) for k in key)
+    col_words = np.asarray(cols)
+    if col_words.ndim != 1 or col_words.size and (
+        col_words.dtype.kind not in "iu" or col_words.min() < 0
+        or col_words.max() > _MASK32
+    ):
+        raise ValueError(f"columns must be integers in [0, 2**32), got {cols!r}")
+    pool = np.random.SeedSequence(seed, spawn_key=key).pool[:, None]
+    # the column word's four hashes, one row each, over all columns
+    hc = _hash_constants(_INIT_A, _MULT_A, _POOL * n_words)
+    pool = _mix(pool, _hashmix(col_words.astype(np.uint32), hc[:-1], hc[1:]))
+    hc = _hash_constants(_INIT_B, _MULT_B, 0)
     state = _hashmix(pool, hc[:-1], hc[1:])
     # numpy joins the words into uint64s little-endian on every platform
-    keys = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
-    return keys if cols is not None else keys[0]
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
 def rekey(gen: np.random.Generator, key: Sequence[int]) -> np.random.Generator:
@@ -259,13 +233,12 @@ def rekey(gen: np.random.Generator, key: Sequence[int]) -> np.random.Generator:
 
 def make_stream(seed: int, *key: int) -> np.random.Generator:
     """The counter-based random stream of a global seed and a call-site key:
-    the stream of ``Generator(Philox(SeedSequence(entropy=seed,
-    spawn_key=key)))``, keyed through ``stream_keys``.
+    ``Generator(Philox(SeedSequence(entropy=seed, spawn_key=key)))``.
 
     Distinct keys give statistically independent streams, so each consumer
     of randomness draws from a stream that no other consumer touches.
     """
-    return rekey(np.random.Generator(np.random.Philox()), stream_keys(seed, key).tolist())
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def _require_rng(
@@ -314,17 +287,8 @@ def convert_array(
     # clamped cell is a bound's rep with a zero fraction, which no mode
     # rounds away from.
     y = np.empty_like(x)  # the out= arrays keep 0-d results arrays
-    if _count_saturated(x, fmt.ubound_value, fmt.lbound_value, stats):
-        x = _clamp(x, fmt.lbound_value, fmt.ubound_value, y)
-    return _round_scaled(np.multiply(x, float(1 << fmt.fraction_length), out=y), mode, rng)
-
-
-def _round_scaled(
-    y: np.ndarray, mode: RoundingMode, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """``convert_array``'s rounding, unchecked: the float64 array ``y``
-    holds values in units of 2**-FL (the reps before rounding), each one
-    within the format's bounds.  ``y`` is overwritten."""
+    x = _saturate(x, fmt.lbound_value, fmt.ubound_value, stats, y)
+    y = np.multiply(x, float(1 << fmt.fraction_length), out=y)
     low = np.floor(y, out=np.empty_like(y))
     rep = low.astype(np.int64)
     if mode is RoundingMode.DOWN:
@@ -423,30 +387,30 @@ def _stochastic_bias(u: np.ndarray, fl: int) -> np.ndarray:
     return d.astype(np.int64, order="C")
 
 
-def _count_saturated(
-    t: np.ndarray, hi: float, lo: float, stats: "SaturationStats | None"
-) -> bool:
-    """Whether any cell of ``t`` is at or beyond ``hi`` or ``lo``.
+def _saturate(
+    t: np.ndarray,
+    lo: float,
+    hi: float,
+    stats: "SaturationStats | None",
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """``t`` with every cell at or beyond ``lo`` or ``hi`` clamped to that
+    bound, each such cell counted as one event into ``stats``, if given.
 
-    Only the two extremes are computed when no cell is; otherwise the cells
-    at or beyond a bound are counted into ``stats``, if given.  A false
-    result means every cell lies strictly inside the bounds, so a clamp
-    would change nothing and the caller skips it.
+    Only the two extremes are computed when no cell is at or beyond a bound,
+    and then ``t`` itself is returned.  Otherwise the clamp goes into
+    ``out``, or into a new array if ``out`` is None; a 0-d ``t`` gives a
+    0-d array.
     """
     # the ufuncs' own reduce skips numpy's Python wrappers, and the initial
     # values give an empty array extremes strictly inside the bounds
     if (np.maximum.reduce(t, axis=None, initial=lo) < hi
             and np.minimum.reduce(t, axis=None, initial=hi) > lo):
-        return False
+        return t
     if stats is not None:
         stats.count(int(np.count_nonzero(t >= hi)) + int(np.count_nonzero(t <= lo)))
-    return True
-
-
-def _clamp(t: np.ndarray, lo: float, hi: float, out: np.ndarray) -> np.ndarray:
-    """``clip(t, lo, hi)`` into ``out``, without ``np.clip``'s per-call
-    overhead."""
-    np.maximum(t, lo, out=out)
+    # np.clip costs more per call; out= keeps a 0-d result an array
+    out = np.maximum(t, lo, out=np.empty_like(t) if out is None else out)
     return np.minimum(out, hi, out=out)
 
 
@@ -475,8 +439,7 @@ def cast_wide_array(
     _require_rng(mode, col_rngs if rng is None else rng)
     fl = fmt.fraction_length
     rep = np.empty_like(t)  # the out= arrays keep 0-d results arrays
-    if _count_saturated(t, fmt.ubound << fl, fmt.lbound << fl, stats):
-        t = _clamp(t, fmt.lbound << fl, fmt.ubound << fl, rep)
+    t = _saturate(t, fmt.lbound << fl, fmt.ubound << fl, stats, rep)
     if mode is RoundingMode.DOWN:
         return np.right_shift(t, fl, out=rep)
     if mode is RoundingMode.STOCHASTIC:
@@ -501,9 +464,7 @@ def cast_wide_simple_array(
     unchanged.  When every cell is already a rep of the format, the result
     is ``t`` itself.
     """
-    if _count_saturated(t, fmt.ubound, fmt.lbound, stats):
-        return _clamp(t, fmt.lbound, fmt.ubound, np.empty_like(t))
-    return t
+    return _saturate(t, fmt.lbound, fmt.ubound, stats)
 
 
 def saturating_acc_add(
@@ -515,22 +476,21 @@ def saturating_acc_add(
     """One accumulation step of the wide MAC: ``acc + term`` with saturation
     at the wide-container bounds instead of wrap-around.
 
-    For 32-bit words the container is int64 and overflow is detected with the
-    two's-complement sign trick; for 16-bit words the container is int32 and
-    the int64 sum is simply clamped.
+    ``acc`` holds wide values, within the bounds; ``term`` any int64 values.
+    A sum strictly beyond a bound is replaced by that bound and counts as
+    one event; a sum exactly at a bound does not count.  Each cell compares
+    ``acc`` with the bound less the part of ``term`` that pushes toward it,
+    which stays in int64 for any int64 term, so one step serves both word
+    lengths, and the int64 sum may wrap only in the cells it replaces.
     """
-    if fmt.word_length == 16:
-        s = acc + term  # |values| < 2**31 + 2**30, no int64 overflow possible
-        clipped = np.clip(s, fmt.wide_lbound, fmt.wide_ubound)
+    hi, lo = fmt.wide_ubound, fmt.wide_lbound
+    over = acc > hi - np.maximum(term, 0)
+    under = acc < lo - np.minimum(term, 0)
+    s = acc + term
+    if over.any() or under.any():
+        s = np.where(over, hi, np.where(under, lo, s))
         if stats is not None:
-            stats.count(int((s != clipped).sum()))
-        return clipped
-    s = acc + term  # may wrap
-    ovf = ((acc ^ s) & (term ^ s)) < 0
-    if ovf.any():
-        s = np.where(ovf, np.where(term > 0, _INT64_MAX, _INT64_MIN), s)
-        if stats is not None:
-            stats.count(int(ovf.sum()))
+            stats.count(int(np.count_nonzero(over)) + int(np.count_nonzero(under)))
     return s
 
 
@@ -565,18 +525,32 @@ def float_sqrt_array(
     """Square roots of int64 wide sums of squares (2*FL fraction bits, >= 0
     unchecked) via double arithmetic.
 
-    Takes the IEEE sqrt of each wide value and rounds it to the nearest rep,
-    saturating at the upper bound.  In units of 2**-FL the root is
-    ``sqrt(t * 2**-2FL) * 2**FL``, which is exactly ``sqrt(t)``, since
-    scaling by an even power of two commutes with a correctly rounded root;
-    and since scaling by 2**-FL is exact, checking ``sqrt(t)`` against the
-    upper bound's rep is exact too.  A root is never negative or NaN, so
-    only that bound can be reached.  This is the default norm path.
+    Takes the IEEE sqrt of each wide value, saturates it at the upper bound
+    and rounds it to the nearest rep with ``_round_root``.  In units of
+    2**-FL the root is ``sqrt(t * 2**-2FL) * 2**FL``, which is exactly
+    ``sqrt(t)``, since scaling by an even power of two commutes with a
+    correctly rounded root; and since scaling by 2**-FL is exact, checking
+    ``sqrt(t)`` against the upper bound's rep is exact too.  A root is never
+    negative or NaN, so only that bound can be reached.  This is the default
+    norm path.
     """
     root = np.sqrt(t, out=np.empty(t.shape))
-    if _count_saturated(root, fmt.ubound, fmt.lbound, stats):
-        np.minimum(root, fmt.ubound, out=root)
-    return _round_scaled(root, RoundingMode.NEAREST)
+    return _round_root(_saturate(root, fmt.lbound, fmt.ubound, stats, root))
+
+
+def _round_root(root: np.ndarray) -> np.ndarray:
+    """Round float64 roots to the nearest int64, halves up, overwriting
+    ``root``.  Each root must be 0 or lie in ``[1, 2**52)``, as the root of
+    a non-negative int64 does.
+
+    Truncating the float sum ``root + 1/2`` gives ``floor(root + 1/2)``
+    exactly.  At 0 the sum is exact.  A root in ``[2**(e-1), 2**e)``, with
+    ``e <= 52``, and 1/2 are multiples of the root's ulp, so a sum below
+    ``2**e`` is exact; a sum at or above ``2**e`` lies below ``2**e + 1/2``
+    and rounds to a double in ``[2**e, 2**e + 1)``, whose floor is the exact
+    sum's.
+    """
+    return np.add(root, 0.5, out=root).astype(np.int64)
 
 
 _ISQRT_INT64_MAX = math.isqrt(_INT64_MAX)  # 3037000499

@@ -26,6 +26,7 @@ from .fixedpoint import (
     RoundingMode,
     SaturationStats,
     _isqrt_array,
+    _round_root,
     cast_wide_array,
     cast_wide_simple_array,
     float_sqrt_array,
@@ -200,9 +201,8 @@ class _FixedOps:
           fraction bits), so ``one <= h <= sqrt(2) one``: the root is never
           negative, NaN or saturated, since ``sqrt(2) one`` is below the
           upper bound when the format has an integer bit beside the sign.
-          The float root rounds to nearest as ``floor(sqrt(wide) + 0.5)``:
-          the addition is exact, since ``sqrt(wide) + 0.5`` stays in the
-          binade ``[one, 2 one)`` of the root.
+          The float root rounds to nearest by ``_round_root``, as in
+          ``float_sqrt_array``.
         - ``h >= one``, so ``lead``'s divisor is never zero and
           ``|lead| <= one`` cannot saturate; ``|lead|`` is about
           ``one/sqrt(2)`` or more, so ``r``'s divisor is never zero either.
@@ -219,8 +219,7 @@ class _FixedOps:
         tau = trunc_div_array(small << fl, np.where(big == 0, self.one, big))
         wide = self._one_wide + tau * tau
         if self.sqrt_path == "float":
-            # truncating a positive value floors it
-            h = (np.sqrt(wide) + 0.5).astype(np.int64)
+            h = _round_root(np.sqrt(wide))
         else:
             h = _isqrt_array(wide)
         lead = trunc_div_array(np.where(big >= 0, self._one_wide, self._minus_one_wide), h)
@@ -343,13 +342,15 @@ def lsmr_solve(a: np.ndarray, b: np.ndarray, iters: int | None = None) -> np.nda
 
 @dataclass
 class LsmrJob:
-    """One multi-column solve ``a X ~= b[:, col_start : col_start+col_count]``."""
+    """One multi-column solve ``a X ~= b[:, col_start : col_start+col_count]``
+    for ``iter_count`` iterations; None means ``min(m, n)`` for an ``m x n``
+    system."""
 
     a: np.ndarray | FixedMatrix
     b: np.ndarray | FixedMatrix
     col_start: int
     col_count: int
-    iter_count: int
+    iter_count: int | None = None
 
     def __post_init__(self) -> None:
         a_shape, b_shape = _check_2d(self.a, self.b)
@@ -364,6 +365,8 @@ class LsmrJob:
                 f"column range [{self.col_start}, {self.col_start + self.col_count}) "
                 f"outside 0..{b_shape[1]}"
             )
+        if self.iter_count is None:
+            self.iter_count = min(a_shape)
         if self.iter_count < 1:
             raise ValueError("iter_count must be at least 1")
 
@@ -374,9 +377,7 @@ class LsmrJob:
         b: np.ndarray | FixedMatrix,
         iter_count: int | None = None,
     ) -> "LsmrJob":
-        (m, n), (_, p) = _check_2d(a, b)
-        if iter_count is None:
-            iter_count = min(m, n)
+        _, (_, p) = _check_2d(a, b)
         return cls(a, b, 0, p, iter_count)
 
 

@@ -171,6 +171,17 @@ def test_labels_must_be_integers():
     assert Dataset(features, np.array([0, 1, 2] * 2, dtype=np.uint8), 3).n_samples == 6
 
 
+def test_labels_must_be_one_dimensional():
+    # a (6, 1) label column broadcasts in one_hot's indexing and marks every
+    # class in every column
+    features = np.arange(24.0).reshape(4, 6)
+    labels = np.array([0, 1, 2] * 2)
+    for bad in (labels.reshape(6, 1), labels.reshape(1, 6), np.array(1)):
+        with pytest.raises(DataError, match="1-D"):
+            Dataset(features, bad, 3)
+    assert Dataset(features, labels, 3).n_samples == 6
+
+
 def test_subsample(iris):
     sub = subsample(iris, 40, 7)
     assert sub.n_samples == 40

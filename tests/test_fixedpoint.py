@@ -884,12 +884,11 @@ class TestStreamKeys:
     @example(2**200 + 3, [3, 2**40], [0, 2**32 - 1])
     def test_keys_match_seed_sequence(self, seed, key, cols):
         # Every column's key equals numpy's SeedSequence with the column as
-        # the last spawn-key word, and the prefix alone equals its own key.
+        # the last spawn-key word.
         got = stream_keys(seed, tuple(key), cols)
         want = [seed_sequence_key(seed, (*key, c)).tolist() for c in cols]
         assert got.dtype == np.uint64 and got.shape == (len(cols), 2)
         assert got.tolist() == want
-        assert stream_keys(seed, tuple(key)).tolist() == seed_sequence_key(seed, tuple(key)).tolist()
 
     @pytest.mark.parametrize("seed, key", [(0, ()), (5, (3, 7, 2)), (2**64 + 1, (2, 2**33))])
     def test_rekeyed_generator_is_a_fresh_stream(self, seed, key):
@@ -900,7 +899,7 @@ class TestStreamKeys:
         gen.random(5)
         gen.integers(0, 10, dtype=np.uint32)  # leaves half a word cached
         assert gen.bit_generator.state["has_uint32"] == 1
-        rekey(gen, stream_keys(seed, key).tolist())
+        rekey(gen, seed_sequence_key(seed, key).tolist())
         fresh = make_stream(seed, *key)
         oracle = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
         assert plain(gen.bit_generator.state) == plain(oracle.bit_generator.state)
@@ -912,11 +911,11 @@ class TestStreamKeys:
     @pytest.mark.parametrize(
         "seed, key, cols",
         [
-            (-1, (), None),
-            (1.5, (), None),
-            ("3", (), None),
-            (0, (3, -1), None),
-            (0, (3, 2.0), None),
+            (-1, (), [0]),
+            (1.5, (), [0]),
+            ("3", (), [0]),
+            (0, (3, -1), [0]),
+            (0, (3, 2.0), [0]),
             (0, (3,), [-1]),
             (0, (3,), [2**32]),
             (0, (3,), [2**64]),
