@@ -23,7 +23,6 @@ from .lsmr import (
     LsmrJob,
     lsmr_solve,
     lsmr_solve_multi,
-    split_ranges,
 )
 from .admm import (
     IterationTimings,

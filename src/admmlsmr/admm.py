@@ -34,8 +34,8 @@ from .fixedpoint import (
     rekey,
     stream_keys,
 )
-from .lsmr import SQRT_PATHS, LsmrJob, StreamFactory, lsmr_solve_multi, split_ranges
-from .matrix import quantize_matrix
+from .lsmr import SQRT_PATHS, LsmrJob, lsmr_solve_multi
+from .matrix import FixedMatrix, quantize_matrix
 
 ARITHMETICS = ("real", "fixed16", "fixed32")
 
@@ -289,10 +289,12 @@ class SolveEngine:
     """Runs batched multi-column least-squares jobs for the trainer.
 
     Owns the quantize/dequantize hop for fixed arithmetic, the random
-    streams of stochastic rounding and the saturation count.  A solve runs
-    as one block, or as column ranges in order, on the calling thread; every
-    column's solve is independent of the others, so its result, saturation
-    count and stream position are those of a standalone one-column solve.
+    streams of stochastic rounding, the saturation count and the column
+    split: a solve runs as one job, or as jobs over column ranges in order,
+    on the calling thread, each handed its columns of ``b`` and their
+    streams.  Every column's solve is independent of the others, so its
+    result, saturation count and stream position are those of a standalone
+    one-column solve.
 
     A stochastic solve with id ``job`` draws from one stream for its
     quantize hop, ``make_stream(seed, 2, job)``, and one per column ``j``,
@@ -318,69 +320,73 @@ class SolveEngine:
         return self._job_counter
 
     def prepare(self, a: np.ndarray, b: np.ndarray, chunks: int = 1):
-        """Split one solve of ``a X ~= b`` (all columns) into ``chunks`` column
-        ranges; the default is one block.
+        """Split one solve of ``a X ~= b`` (all columns) into at most
+        ``chunks`` jobs over contiguous, non-empty column ranges; the default
+        is one job.
 
         Returns (tasks, collect, finish, prep_seconds): each task is a
         zero-argument callable that solves one range, ``collect`` stores a
         task's result, and ``finish()`` returns the full solution once every
         result is in.  ``prep_seconds`` covers the quantization hop so it
-        lands in the owning procedure's time bucket.
+        lands in the owning procedure's time bucket.  The whole of ``b`` is
+        quantized before the split, so the quantize stream's draws do not
+        depend on it.
         """
         prep_start = time.perf_counter()
         job_id = self._next_job_id()
         iters = self.cfg.lsmr_iterations
         n, p = a.shape[1], b.shape[1]
 
-        stream_factory = None
+        keys = None
         if self.fmt is None:
-            a_solver: np.ndarray | object = a
-            b_solver = b
+            a_solver: np.ndarray | FixedMatrix = a
         else:
             q_rng = None
             if self.mode is RoundingMode.STOCHASTIC:
                 q_rng = make_stream(self.cfg.seed, _TAG_QUANTIZE, job_id)
-                stream_factory = self._round_streams(job_id, p)
+                keys = stream_keys(self.cfg.seed, (_TAG_ROUND, job_id), np.arange(p)).tolist()
             a_solver = quantize_matrix(a, self.fmt, self.mode, q_rng, self.saturation)
-            b_solver = quantize_matrix(b, self.fmt, self.mode, q_rng, self.saturation)
+            b = quantize_matrix(b, self.fmt, self.mode, q_rng, self.saturation)
 
         out = np.zeros((n, p))
 
-        def make_task(start: int, count: int):
-            def task() -> tuple[int, np.ndarray]:
-                sub = LsmrJob(a_solver, b_solver, start, count, iters)
+        def make_task(cols: np.ndarray):
+            def task() -> tuple[np.ndarray, np.ndarray]:
+                if self.fmt is None:
+                    b_cols = b[:, cols]
+                else:
+                    b_cols = FixedMatrix(b.data[:, cols], self.fmt)
                 res = lsmr_solve_multi(
-                    sub,
-                    mode=self.mode,
-                    stream_factory=stream_factory,
+                    LsmrJob(a_solver, b_cols, iters),
+                    self.mode,
+                    None if keys is None else self._round_streams(keys, cols),
                     sqrt_path=self.cfg.sqrt_path,
                     stats=self.saturation,
                 )
                 if self.fmt is not None:
                     res = res.to_real()
-                return start, res
+                return cols, res
 
             return task
 
-        tasks = [make_task(s, c) for s, c in split_ranges(0, p, chunks)]
+        ranges = np.array_split(np.arange(p), max(1, min(chunks, p)))
+        tasks = [make_task(cols) for cols in ranges]
 
-        def collect(result: tuple[int, np.ndarray]) -> None:
-            start, cols = result
-            out[:, start : start + cols.shape[1]] = cols
+        def collect(result: tuple[np.ndarray, np.ndarray]) -> None:
+            cols, res = result
+            out[:, cols] = res
 
         return tasks, collect, lambda: out, time.perf_counter() - prep_start
 
-    def _round_streams(self, job_id: int, p: int) -> StreamFactory:
-        """The stream factory of a stochastic solve with ``p`` columns.
-
-        All ``p`` keys come from one pass; column ``j`` gets pooled
-        generator ``j``, re-keyed when the solver asks for it, so solves
+    def _round_streams(self, keys: list, cols: np.ndarray) -> list[np.random.Generator]:
+        """The column streams of ``cols`` in a stochastic solve whose column
+        keys are ``keys``: pooled generator ``j``, re-keyed to ``keys[j]``,
+        serves column ``j``.  A task re-keys them when it runs, so solves
         prepared before others ran still start every stream at zero.
         """
-        keys = stream_keys(self.cfg.seed, (_TAG_ROUND, job_id), np.arange(p)).tolist()
         pool = self._column_streams
-        pool.extend(np.random.Generator(np.random.Philox()) for _ in range(p - len(pool)))
-        return lambda col: rekey(pool[col], keys[col])
+        pool.extend(np.random.Generator(np.random.Philox()) for _ in range(len(keys) - len(pool)))
+        return [rekey(pool[j], keys[j]) for j in cols]
 
     def run_wave(self, prepared) -> tuple[np.ndarray, float]:
         """Run one prepared job's tasks in order.

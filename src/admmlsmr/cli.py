@@ -68,9 +68,9 @@ def _add_run_flags(p: argparse.ArgumentParser, iters_default: int = 100) -> None
         metavar="D,N,K",
         help="generate D features x N samples with K Gaussian classes instead of --data",
     )
-    p.add_argument("--label-col", type=int, default=-1, help="label column index")
-    p.add_argument("--has-header", action="store_true", help="skip one header line")
-    p.add_argument("--arch", required=True, help="layer widths, e.g. 4,8,8,3")
+    p.add_argument("--label-col", type=int, help="label column index of --data (default -1)")
+    p.add_argument("--has-header", action="store_true", help="skip one header line of --data")
+    p.add_argument("--arch", type=_widths, required=True, help="layer widths, e.g. 4,8,8,3")
     p.add_argument("--iters", type=int, default=iters_default, help="training sweeps")
     p.add_argument("--arithmetic", choices=ARITHMETICS, default="real")
     p.add_argument("--rounding", choices=ROUNDINGS, default="nearest")
@@ -86,12 +86,22 @@ def _add_run_flags(p: argparse.ArgumentParser, iters_default: int = 100) -> None
     p.add_argument("--out", help="write the report here instead of stdout")
 
 
+def _widths(text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def _load(args) -> tuple[Dataset, dict]:
     _config(args)  # a bad flag fails here, before any data is read
     if bool(args.data) == bool(args.synthetic):
         raise DataError("provide exactly one of --data or --synthetic")
+    if args.synthetic and (args.label_col is not None or args.has_header):
+        raise DataError("--label-col and --has-header apply to --data only, not --synthetic")
     if args.data:
-        ds = datamod.load_csv(args.data, args.label_col, args.has_header)
+        label_col = -1 if args.label_col is None else args.label_col
+        ds = datamod.load_csv(args.data, label_col, args.has_header)
         info = {"path": args.data}
     else:
         try:
@@ -116,9 +126,8 @@ def _load(args) -> tuple[Dataset, dict]:
 
 def _config(args, seed: int | None = None, arithmetic: str | None = None,
             rounding: str | None = None) -> NetworkConfig:
-    arch = [int(v) for v in args.arch.split(",")]
     return NetworkConfig(
-        layer_dims=arch,
+        layer_dims=args.arch,
         iterations=args.iters,
         arithmetic=arithmetic or args.arithmetic,
         rounding=RoundingMode(rounding or args.rounding),

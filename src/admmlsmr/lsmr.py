@@ -16,7 +16,7 @@ in-range reps only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .fixedpoint import (
 )
 from .matrix import FixedMatrix, _check_fmt, accumulate_product_wide, sum_squares_wide
 
-StreamFactory = Callable[[int], np.random.Generator]
 SQRT_PATHS = ("float", "integer")
 
 
@@ -335,107 +334,75 @@ def lsmr_solve(a: np.ndarray, b: np.ndarray, iters: int | None = None) -> np.nda
     """
     if b.shape != (a.shape[0],):
         raise ValueError(f"shape mismatch: a is {a.shape}, b is {b.shape}")
-    return lsmr_solve_multi(LsmrJob.full(a, b[:, None], iters))[:, 0]
+    return lsmr_solve_multi(LsmrJob(a, b[:, None], iters))[:, 0]
 
 
 # -- multi-right-hand-side jobs --------------------------------------------------
 
 @dataclass
 class LsmrJob:
-    """One multi-column solve ``a X ~= b[:, col_start : col_start+col_count]``
-    for ``iter_count`` iterations; None means ``min(m, n)`` for an ``m x n``
-    system."""
+    """One multi-column solve ``a X ~= b`` over every column of ``b``, for
+    ``iter_count`` iterations; None means ``min(m, n)`` for an ``m x n``
+    system.  Which columns share a job is the caller's choice: it changes
+    no column's result."""
 
     a: np.ndarray | FixedMatrix
     b: np.ndarray | FixedMatrix
-    col_start: int
-    col_count: int
     iter_count: int | None = None
 
     def __post_init__(self) -> None:
-        a_shape, b_shape = _check_2d(self.a, self.b)
+        a_shape, b_shape = self.a.shape, self.b.shape
+        if len(a_shape) != 2 or len(b_shape) != 2:
+            raise ValueError(f"a and b must be 2-D, got shapes {a_shape} and {b_shape}")
         if a_shape[0] != b_shape[0]:
             raise ValueError(f"row mismatch: a is {a_shape}, b is {b_shape}")
         if isinstance(self.a, FixedMatrix) != isinstance(self.b, FixedMatrix):
             raise ValueError("a and b must both be real or both fixed")
         if isinstance(self.a, FixedMatrix):
             _check_fmt(self.a, self.b)
-        if self.col_start < 0 or self.col_start + self.col_count > b_shape[1]:
-            raise ValueError(
-                f"column range [{self.col_start}, {self.col_start + self.col_count}) "
-                f"outside 0..{b_shape[1]}"
-            )
         if self.iter_count is None:
             self.iter_count = min(a_shape)
         if self.iter_count < 1:
             raise ValueError("iter_count must be at least 1")
 
-    @classmethod
-    def full(
-        cls,
-        a: np.ndarray | FixedMatrix,
-        b: np.ndarray | FixedMatrix,
-        iter_count: int | None = None,
-    ) -> "LsmrJob":
-        _, (_, p) = _check_2d(a, b)
-        return cls(a, b, 0, p, iter_count)
-
-
-def _check_2d(a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The shapes of a job's system and right-hand side, which must be 2-D."""
-    if len(a.shape) != 2 or len(b.shape) != 2:
-        raise ValueError(f"a and b must be 2-D, got shapes {a.shape} and {b.shape}")
-    return a.shape, b.shape
-
-
-def split_ranges(start: int, count: int, parts: int) -> list[tuple[int, int]]:
-    """Split a column range into at most ``parts`` contiguous non-empty chunks."""
-    parts = max(1, min(parts, count))
-    base, extra = divmod(count, parts)
-    ranges = []
-    at = start
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        if size:
-            ranges.append((at, size))
-        at += size
-    return ranges
+    @property
+    def col_count(self) -> int:
+        return self.b.shape[1]
 
 
 def lsmr_solve_multi(
     job: LsmrJob,
     mode: RoundingMode = RoundingMode.NEAREST,
-    stream_factory: StreamFactory | None = None,
+    streams: Sequence[np.random.Generator] | None = None,
     sqrt_path: str = "float",
     stats: SaturationStats | None = None,
 ) -> np.ndarray | FixedMatrix:
-    """Solve the job's column range as one block.
+    """Solve every column of the job as one block.
 
-    Column ``j`` of the result, its saturation count and its stream position
-    equal those of a standalone solve against ``b[:, j]``, so splitting a
-    solve into jobs over disjoint column ranges never changes them.  For
-    stochastic rounding each absolute column index draws from its own
-    stream.  For an ``m x n`` system each column draws ``n + 1`` uniforms
-    before the loop and exactly ``2m + 5n + 11`` per iteration it runs, so
-    the streams are drawn in those blocks and end just past the uniforms the
-    column used.  A fixed system's transpose and float64 copies are cached
-    on its ``FixedMatrix``, so every column range of one system shares them.
-    A real solve raises ``FloatingPointError`` on overflow, division by zero
-    or an invalid operation, rather than return the zeros an overflowed norm
-    leaves.
+    A column's result, saturation count and stream position depend only on
+    ``a``, that column of ``b`` and its generator, never on which other
+    columns share the job: column ``j`` equals a standalone one-column solve
+    against ``b[:, j]``.  Stochastic rounding draws column ``j``'s uniforms
+    from ``streams[j]``, so ``streams`` holds one generator per column, in
+    column order.  For an ``m x n`` system each column draws ``n + 1``
+    uniforms before the loop and exactly ``2m + 5n + 11`` per iteration it
+    runs, so the streams are drawn in those blocks and end just past the
+    uniforms the column used.  A fixed system's transpose and float64
+    copies are cached on its ``FixedMatrix``, so every job over one system
+    shares them.  A real solve raises ``FloatingPointError`` on overflow,
+    division by zero or an invalid operation, rather than return the zeros
+    an overflowed norm leaves.
     """
-    cols = slice(job.col_start, job.col_start + job.col_count)
     if not isinstance(job.a, FixedMatrix):
         at = np.ascontiguousarray(job.a.T)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _solve_block(_RealOps(), job.a, at, job.b[:, cols], job.iter_count)
-    streams = None
+            return _solve_block(_RealOps(), job.a, at, job.b, job.iter_count)
+    col_rngs = None
     if mode is RoundingMode.STOCHASTIC:
-        if stream_factory is None:
-            raise ValueError("stochastic rounding requires a stream factory")
+        if streams is None or len(streams) != job.col_count:
+            raise ValueError("stochastic rounding needs one stream per column of b")
         m, n = job.a.shape
-        gens = [stream_factory(j) for j in range(cols.start, cols.stop)]
-        streams = ColumnStreams(gens, job.a.fmt, 2 * m + 5 * n + 11, first=n + 1)
-    ops = _FixedOps(job.a.fmt, mode, streams, sqrt_path, stats)
-    x = _solve_block(ops, job.a, job.a.T, job.b.data[:, cols], job.iter_count)
+        col_rngs = ColumnStreams(list(streams), job.a.fmt, 2 * m + 5 * n + 11, first=n + 1)
+    ops = _FixedOps(job.a.fmt, mode, col_rngs, sqrt_path, stats)
+    x = _solve_block(ops, job.a, job.a.T, job.b.data, job.iter_count)
     return FixedMatrix(x, job.a.fmt)

@@ -313,7 +313,7 @@ class TestStreamPool:
             aq = quantize_matrix(a, FIXED32, mode, q_rng, stats)
             bq = quantize_matrix(b, FIXED32, mode, q_rng, stats)
             gens = [make_stream(seed, 3, job_id, j) for j in range(p)]
-            want = lsmr_solve_multi(LsmrJob.full(aq, bq), mode, gens.__getitem__, stats=stats)
+            want = lsmr_solve_multi(LsmrJob(aq, bq), mode, gens, stats=stats)
 
             assert np.array_equal(got, want.to_real())
             assert engine.saturation.events - before == stats.events

@@ -150,6 +150,22 @@ class TestErrors:
         )
         assert code == 1 and "exactly one" in err
 
+    @pytest.mark.parametrize("arch", ["4,,2", "4,x,2", ""])
+    def test_malformed_arch_exits_2(self, capsys, arch):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--synthetic", "4,30,2", "--arch", arch])
+        assert exc.value.code == 2
+        assert "--arch: expected comma-separated integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [("--label-col", "7"), ("--has-header",)])
+    def test_csv_flags_rejected_with_synthetic(self, capsys, flags):
+        code, out, err = run_cli(
+            capsys, "train", "--synthetic", "4,30,2", "--arch", "4,3,2", "--iters", "1",
+            *flags,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: --label-col and --has-header apply to --data only")
+
     def test_wrong_arity_dataset(self, capsys, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("1,2,a\n1,b\n")

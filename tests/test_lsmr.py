@@ -22,7 +22,6 @@ from admmlsmr.lsmr import (
     _RealOps,
     lsmr_solve,
     lsmr_solve_multi,
-    split_ranges,
 )
 from admmlsmr.matrix import FixedMatrix, dequantize_matrix, quantize_matrix
 from conftest import (
@@ -182,7 +181,7 @@ class TestRealSolve:
         with pytest.raises(FloatingPointError, match="overflow"):
             lsmr_solve(np.eye(2), np.array([1e200, 2e200]))
         with pytest.raises(FloatingPointError, match="overflow"):
-            lsmr_solve_multi(LsmrJob.full(np.eye(2), np.array([[1.0], [1e300]])))
+            lsmr_solve_multi(LsmrJob(np.eye(2), np.array([[1.0], [1e300]])))
 
 
 class TestFixedSolve:
@@ -190,11 +189,11 @@ class TestFixedSolve:
         rng = np.random.default_rng(6)
         b = rng.uniform(-0.3, 0.3, size=(6, 1))
         bf = quantize_matrix(b, FIXED32)
-        x = lsmr_solve_multi(LsmrJob.full(quantize_matrix(np.eye(6), FIXED32), bf))
+        x = lsmr_solve_multi(LsmrJob(quantize_matrix(np.eye(6), FIXED32), bf))
         assert np.abs(dequantize_matrix(x) - dequantize_matrix(bf)).max() <= 2 * EPS32
 
     def test_zero_rhs_bit_exact(self):
-        x = lsmr_solve_multi(LsmrJob.full(
+        x = lsmr_solve_multi(LsmrJob(
             quantize_matrix(np.eye(5), FIXED32),
             quantize_matrix(np.zeros((5, 1)), FIXED32),
         ))
@@ -205,7 +204,7 @@ class TestFixedSolve:
         # the column cannot complete it and stops with its zero iterate.
         a = FixedMatrix(np.array([[-14, -17]]), FIXED16)
         b = FixedMatrix(np.array([[-24]]), FIXED16)
-        assert not lsmr_solve_multi(LsmrJob.full(a, b)).data.any()
+        assert not lsmr_solve_multi(LsmrJob(a, b)).data.any()
 
     def test_against_real_path(self):
         rng = np.random.default_rng(7)
@@ -214,7 +213,7 @@ class TestFixedSolve:
             b = rng.uniform(-1, 1, size=(16, 1))
             xr = lsmr_solve(a, b.ravel())
             xf = lsmr_solve_multi(
-                LsmrJob.full(quantize_matrix(a, FIXED32), quantize_matrix(b, FIXED32))
+                LsmrJob(quantize_matrix(a, FIXED32), quantize_matrix(b, FIXED32))
             )
             err = np.abs(dequantize_matrix(xf).ravel() - xr).max()
             assert err <= 1000 * EPS32
@@ -224,10 +223,10 @@ class TestFixedSolve:
         rng = np.random.default_rng(8)
         a = quantize_matrix(rng.uniform(-1, 1, (12, 5)), FIXED32)
         b = quantize_matrix(rng.uniform(-1, 1, (12, 6)), FIXED32)
-        block = lsmr_solve_multi(LsmrJob.full(a, b))
+        block = lsmr_solve_multi(LsmrJob(a, b))
         for j in range(6):
             single = lsmr_solve_multi(
-                LsmrJob.full(a, quantize_matrix(dequantize_matrix(b)[:, j : j + 1], FIXED32))
+                LsmrJob(a, quantize_matrix(dequantize_matrix(b)[:, j : j + 1], FIXED32))
             )
             assert np.array_equal(block.data[:, j], single.data[:, 0])
 
@@ -235,7 +234,7 @@ class TestFixedSolve:
         a = quantize_matrix(np.eye(3), FIXED32)
         b = quantize_matrix(np.ones((3, 1)), FIXED32)
         with pytest.raises(ValueError):
-            lsmr_solve_multi(LsmrJob.full(a, b), RoundingMode.STOCHASTIC)
+            lsmr_solve_multi(LsmrJob(a, b), RoundingMode.STOCHASTIC)
 
     @pytest.mark.parametrize(
         "fmt, solution, rotation",
@@ -252,7 +251,7 @@ class TestFixedSolve:
         a = quantize_matrix(np.array([[1.0, 0.5], [0.25, -1.0], [0.75, 0.125]]), fmt)
         b = quantize_matrix(np.array([[0.3], [-0.7], [0.2]]), fmt)
         gen = make_stream(4, 2)
-        x = lsmr_solve_multi(LsmrJob.full(a, b), mode, lambda _: gen)
+        x = lsmr_solve_multi(LsmrJob(a, b), mode, [gen])
         assert x.data[:, 0].tolist() == solution
         assert gen.random() == 0.4298379211601343
         gen = make_stream(4, 3)
@@ -303,7 +302,7 @@ class TestKernelLookups:
         rng = np.random.default_rng(18)
         a = quantize_matrix(conditioned_system(rng, 9, 4, 4.0), FIXED32)
         b = quantize_matrix(rng.uniform(-1, 1, (9, 3)), FIXED32)
-        lsmr_solve_multi(LsmrJob.full(a, b), RoundingMode.NEAREST, stats=SaturationStats())
+        lsmr_solve_multi(LsmrJob(a, b), RoundingMode.NEAREST, stats=SaturationStats())
         assert counts == self.EXPECTED
 
 
@@ -312,27 +311,27 @@ class TestMulti:
         rng = np.random.default_rng(9)
         a = rng.standard_normal((14, 5))
         b = rng.standard_normal((14, 1))
-        out = lsmr_solve_multi(LsmrJob.full(a, b))
+        out = lsmr_solve_multi(LsmrJob(a, b))
         assert np.array_equal(out[:, 0], lsmr_solve(a, b[:, 0]))
 
     def test_split_concat_equals_unsplit(self):
         rng = np.random.default_rng(10)
         a = rng.standard_normal((20, 8))
         b = rng.standard_normal((20, 8))
-        whole = lsmr_solve_multi(LsmrJob.full(a, b))
-        left = lsmr_solve_multi(LsmrJob(a, b, 0, 4, 8))
-        right = lsmr_solve_multi(LsmrJob(a, b, 4, 4, 8))
+        whole = lsmr_solve_multi(LsmrJob(a, b))
+        left = lsmr_solve_multi(LsmrJob(a, b[:, :4], 8))
+        right = lsmr_solve_multi(LsmrJob(a, b[:, 4:], 8))
         assert np.array_equal(np.hstack([left, right]), whole)
 
     def test_column_splits_identical(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((20, 8))
         b = rng.standard_normal((20, 12))
-        whole = lsmr_solve_multi(LsmrJob.full(a, b))
+        whole = lsmr_solve_multi(LsmrJob(a, b))
         for parts in (2, 3, 4, 12):
             chunks = [
-                lsmr_solve_multi(LsmrJob(a, b, start, count, 8))
-                for start, count in split_ranges(0, 12, parts)
+                lsmr_solve_multi(LsmrJob(a, b[:, cols], 8))
+                for cols in np.array_split(np.arange(12), parts)
             ]
             assert np.array_equal(np.hstack(chunks), whole)
 
@@ -340,7 +339,7 @@ class TestMulti:
         rng = np.random.default_rng(12)
         a = conditioned_system(rng, 25, 9, 30.0)
         b = rng.standard_normal((25, 6))
-        out = lsmr_solve_multi(LsmrJob.full(a, b))
+        out = lsmr_solve_multi(LsmrJob(a, b))
         for j in range(6):
             want = normal_equations_solve(a, b[:, j])
             assert np.abs(out[:, j] - want).max() < 1e-6
@@ -350,7 +349,7 @@ class TestMulti:
         a = rng.standard_normal((10, 4))
         b = rng.standard_normal((10, 3))
         b[:, 1] = 0.0
-        out = lsmr_solve_multi(LsmrJob.full(a, b))
+        out = lsmr_solve_multi(LsmrJob(a, b))
         assert np.array_equal(out[:, 1], np.zeros(4))
 
     def test_fixed_stochastic_partition_invariant(self):
@@ -358,18 +357,15 @@ class TestMulti:
         a = quantize_matrix(rng.uniform(-1, 1, (10, 4)), FIXED32)
         b = quantize_matrix(rng.uniform(-1, 1, (10, 8)), FIXED32)
 
-        def factory(col):
-            return make_stream(77, 5, col)
-
         runs = []
         for parts in (1, 3, 4):
             chunks = [
                 lsmr_solve_multi(
-                    LsmrJob(a, b, start, count, 4),
+                    LsmrJob(a, FixedMatrix(b.data[:, cols], FIXED32), 4),
                     mode=RoundingMode.STOCHASTIC,
-                    stream_factory=factory,
+                    streams=[make_stream(77, 5, col) for col in cols],
                 ).data
-                for start, count in split_ranges(0, 8, parts)
+                for cols in np.array_split(np.arange(8), parts)
             ]
             runs.append(np.hstack(chunks))
         assert np.array_equal(runs[0], runs[1])
@@ -385,7 +381,7 @@ class TestMulti:
         a = quantize_matrix(a if m >= n else a.T, fmt)
         b = quantize_matrix(rng.uniform(-1, 1, (m, p)), fmt)
         gens = [make_stream(3, j) for j in range(p)]
-        lsmr_solve_multi(LsmrJob.full(a, b, iters), RoundingMode.STOCHASTIC, lambda j: gens[j])
+        lsmr_solve_multi(LsmrJob(a, b, iters), RoundingMode.STOCHASTIC, gens)
         drawn = (n + 1) + iters * (2 * m + 5 * n + 11)
         for j, gen in enumerate(gens):
             fresh = make_stream(3, j)
@@ -402,11 +398,12 @@ class TestMulti:
         a = rng.uniform(-1, 1, (4, 2))
         b = rng.uniform(-1, 1, (4, 3))
         if fmt is None:
-            out = lsmr_solve_multi(LsmrJob(a, b, 2, 0, 3))
+            out = lsmr_solve_multi(LsmrJob(a, b[:, 2:2], 3))
             assert out.shape == (2, 0)
             return
-        job = LsmrJob(quantize_matrix(a, fmt), quantize_matrix(b, fmt), 2, 0, 3)
-        out = lsmr_solve_multi(job, mode, lambda col: make_stream(1, col))
+        bf = quantize_matrix(b, fmt)
+        job = LsmrJob(quantize_matrix(a, fmt), FixedMatrix(bf.data[:, 2:2], fmt), 3)
+        out = lsmr_solve_multi(job, mode, [])
         assert isinstance(out, FixedMatrix)
         assert out.fmt == fmt
         assert out.data.shape == (2, 0)
@@ -415,27 +412,24 @@ class TestMulti:
         a = np.zeros((4, 3))
         b = np.zeros((4, 2))
         with pytest.raises(ValueError):
-            LsmrJob(a, b, 0, 3, 4)  # range beyond the two columns
+            LsmrJob(a, np.zeros((5, 2)), 4)
         with pytest.raises(ValueError):
-            LsmrJob(a, np.zeros((5, 2)), 0, 1, 4)
-        with pytest.raises(ValueError):
-            LsmrJob(a, b, 0, 1, 0)
+            LsmrJob(a, b, 0)
         with pytest.raises(ValueError):  # a FIXED32 system, a FIXED16 right-hand side
-            LsmrJob.full(quantize_matrix(a, FIXED32), quantize_matrix(b, FIXED16))
-        with pytest.raises(ValueError):  # a one-dimensional right-hand side
-            LsmrJob(a, np.zeros(4), 0, 1, 2)
-        with pytest.raises(ValueError):  # a one-dimensional system
-            LsmrJob(np.zeros(4), b, 0, 1, 2)
-        with pytest.raises(ValueError, match="must be 2-D"):
-            LsmrJob.full(a, np.zeros(4))
-        with pytest.raises(ValueError, match="must be 2-D"):
-            LsmrJob.full(np.zeros(4), b)
+            LsmrJob(quantize_matrix(a, FIXED32), quantize_matrix(b, FIXED16))
+        with pytest.raises(ValueError, match="must be 2-D"):  # a one-dimensional right-hand side
+            LsmrJob(a, np.zeros(4), 2)
+        with pytest.raises(ValueError, match="must be 2-D"):  # a one-dimensional system
+            LsmrJob(np.zeros(4), b)
+        assert LsmrJob(a, b).col_count == 2
 
-    def test_split_ranges(self):
-        assert split_ranges(0, 8, 2) == [(0, 4), (4, 4)]
-        assert split_ranges(3, 5, 2) == [(3, 3), (6, 2)]
-        assert split_ranges(0, 2, 5) == [(0, 1), (1, 1)]
-        assert split_ranges(0, 7, 3) == [(0, 3), (3, 2), (5, 2)]
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_stochastic_needs_one_stream_per_column(self, count):
+        a = quantize_matrix(np.eye(3), FIXED32)
+        b = quantize_matrix(np.ones((3, 2)), FIXED32)
+        streams = [make_stream(2, j) for j in range(count)]
+        with pytest.raises(ValueError, match="one stream per column"):
+            lsmr_solve_multi(LsmrJob(a, b), RoundingMode.STOCHASTIC, streams)
 
 
 @st.composite
@@ -470,7 +464,7 @@ class TestPartitionProperty:
     def test_real(self, system):
         a, b, bounds, iters = system
         parts = [
-            lsmr_solve_multi(LsmrJob(a, b, lo, hi - lo, iters))
+            lsmr_solve_multi(LsmrJob(a, b[:, lo:hi], iters))
             for lo, hi in zip(bounds, bounds[1:])
         ]
         single = np.stack(
@@ -514,9 +508,9 @@ class TestPartitionProperty:
         part_stats, single_stats = SaturationStats(), SaturationStats()
         parts = [
             lsmr_solve_multi(
-                LsmrJob(af, bf, lo, hi - lo, iters),
+                LsmrJob(af, FixedMatrix(bf.data[:, lo:hi], fmt), iters),
                 mode=mode,
-                stream_factory=part_gens.__getitem__,
+                streams=part_gens[lo:hi],
                 sqrt_path=sqrt_path,
                 stats=part_stats,
             ).data
@@ -524,9 +518,9 @@ class TestPartitionProperty:
         ]
         single = [
             lsmr_solve_multi(
-                LsmrJob.full(af, FixedMatrix(bf.data[:, j : j + 1], fmt), iters),
+                LsmrJob(af, FixedMatrix(bf.data[:, j : j + 1], fmt), iters),
                 mode=mode,
-                stream_factory=lambda _: single_gens[j],
+                streams=[single_gens[j]],
                 sqrt_path=sqrt_path,
                 stats=single_stats,
             ).data
@@ -564,7 +558,7 @@ class TestRealOracle:
             iters = min(iters, rank)
         unit = (sv[0] / sv[rank - 1]) ** 3 * np.finfo(float).eps
         x = np.hstack([
-            lsmr_solve_multi(LsmrJob(a, b, lo, hi - lo, iters))
+            lsmr_solve_multi(LsmrJob(a, b[:, lo:hi], iters))
             for lo, hi in zip(bounds, bounds[1:])
         ])
         for j in range(b.shape[1]):
@@ -588,7 +582,7 @@ def assert_solve_matches_oracle(a, b, iters, fmt, mode, sqrt_path) -> int:
     gens = [make_stream(5, j) for j in range(bf.shape[1])]
     stats = SaturationStats()
     x = lsmr_solve_multi(
-        LsmrJob.full(af, bf, iters), mode, gens.__getitem__, sqrt_path, stats
+        LsmrJob(af, bf, iters), mode, gens, sqrt_path, stats
     ).data
     events = 0
     for j, gen in enumerate(gens):

@@ -69,7 +69,7 @@ class TestQuantization:
         # is 0, which would solve to [[0], [0]], and 2**32 + 5 to 398249.
         a = FixedMatrix(np.eye(2, dtype=np.int64) * FIXED32.one, FIXED32)
         with pytest.raises(ValueError, match="outside"):
-            lsmr_solve_multi(LsmrJob.full(a, FixedMatrix(np.array([[rep], [0]]), FIXED32)))
+            lsmr_solve_multi(LsmrJob(a, FixedMatrix(np.array([[rep], [0]]), FIXED32)))
 
 
 class TestOperandBoundary:
@@ -101,7 +101,7 @@ class TestOperandBoundary:
         reps = np.array([[3 * FIXED32.one], [0]], dtype=np.int64)
         b = FixedMatrix(reps, FIXED32)
         reps[0, 0] = 1 << 33
-        assert lsmr_solve_multi(LsmrJob.full(a, b)).data[:, 0].tolist() == [3 * FIXED32.one, 0]
+        assert lsmr_solve_multi(LsmrJob(a, b)).data[:, 0].tolist() == [3 * FIXED32.one, 0]
 
 
 class TestFixedMatmul:
@@ -336,7 +336,7 @@ _M16, _M32 = (FixedMatrix(np.zeros((1, 1), np.int64), fmt) for fmt in (FIXED16, 
 
 @pytest.mark.parametrize(
     "op",
-    [lambda: mat_mul_fixed(_M16, _M32), lambda: LsmrJob.full(_M16, _M32)],
+    [lambda: mat_mul_fixed(_M16, _M32), lambda: LsmrJob(_M16, _M32)],
     ids=["mat_mul_fixed", "LsmrJob"],
 )
 def test_format_mismatch_raises_fixed_format_error(op):
