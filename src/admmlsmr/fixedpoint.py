@@ -421,6 +421,8 @@ def cast_wide_array(
     rng: np.random.Generator | None = None,
     col_rngs: ColumnStreams | None = None,
     stats: "SaturationStats | None" = None,
+    *,
+    checked: bool = True,
 ) -> np.ndarray:
     """Narrow an int64 array of wide products (2*FL fraction bits) back to
     word reps.
@@ -435,11 +437,16 @@ def cast_wide_array(
     from ``rng`` or from column ``j``'s stream in ``col_rngs``.  A clamped
     sum is a bound's rep with a zero fraction, and a bias below ``2**FL``
     neither rounds it away from the bound nor overflows it.
+
+    ``checked=False`` skips the saturation step, for a caller that has
+    proved every cell strictly inside the shifted bounds; the result, the
+    draws and the (zero) count are then those of the checked cast.
     """
     _require_rng(mode, col_rngs if rng is None else rng)
     fl = fmt.fraction_length
     rep = np.empty_like(t)  # the out= arrays keep 0-d results arrays
-    t = _saturate(t, fmt.lbound << fl, fmt.ubound << fl, stats, rep)
+    if checked:
+        t = _saturate(t, fmt.lbound << fl, fmt.ubound << fl, stats, rep)
     if mode is RoundingMode.DOWN:
         return np.right_shift(t, fl, out=rep)
     if mode is RoundingMode.STOCHASTIC:

@@ -6,12 +6,12 @@ of right-hand-side columns together against an ops object that supplies the
 arithmetic, and keeps every column independent of the others, so any split
 of the columns into blocks gives bit-identical results, saturation counts
 and stream positions.  Each ops object also supplies the recurrence's two
-Givens rotations per iteration (``rotate``) and its unit normalisations
-(``unit``).  The fixed ones run the word operations of the real ones in the
-same order, and skip only the clamps and guards that their ranges make
-dead, so they compute the bits the generic word operations would.  Fixed
-operands are checked once, where they enter: a ``FixedMatrix`` holds
-in-range reps only.
+Givens rotations per iteration (``rotate``), its unit normalisations
+(``unit``) and its two residual steps (``step``).  The fixed ones run the
+word operations of the real ones in the same order, and skip only the
+clamps and guards that their ranges make dead, so they compute the bits the
+generic word operations would.  Fixed operands are checked once, where they
+enter: a ``FixedMatrix`` holds in-range reps only.
 """
 from __future__ import annotations
 
@@ -75,7 +75,14 @@ class _RealOps:
         rows = np.ascontiguousarray(cols.T, dtype=np.float64)
         return np.matmul(a, rows[..., None])[..., 0].T
 
-    def norm_cols(self, cols: np.ndarray) -> np.ndarray:
+    def step(
+        self, a: np.ndarray, v: np.ndarray, u: np.ndarray, alpha: np.ndarray
+    ) -> tuple[np.ndarray, None]:
+        """The residual ``a v - u alpha`` of one bidiagonalization step, and
+        no bound on it."""
+        return self.sub(self.matmul(a, v), self.mul(u, alpha)), None
+
+    def norm_cols(self, cols: np.ndarray, bound: None = None) -> np.ndarray:
         rows = np.ascontiguousarray(cols.T, dtype=np.float64)
         return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
@@ -129,9 +136,10 @@ class _FixedOps:
         self._one_wide = np.array(fmt.one << fmt.fraction_length)
         self._minus_one_wide = -self._one_wide
 
-    def cast(self, wide: np.ndarray) -> np.ndarray:
+    def cast(self, wide: np.ndarray, checked: bool = True) -> np.ndarray:
         return cast_wide_array(
-            wide, self.fmt, self.mode, col_rngs=self.col_rngs, stats=self.stats
+            wide, self.fmt, self.mode, col_rngs=self.col_rngs, stats=self.stats,
+            checked=checked,
         )
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -171,11 +179,59 @@ class _FixedOps:
     def neg(self, a: np.ndarray) -> np.ndarray:
         return cast_wide_simple_array(-a, self.fmt, self.stats)
 
-    def matmul(self, a: FixedMatrix, b_reps: np.ndarray) -> np.ndarray:
-        return self.cast(accumulate_product_wide(a, b_reps, self.stats))
+    def matmul(self, a: FixedMatrix, units: np.ndarray) -> np.ndarray:
+        """``a @ units`` for unit columns ``units``: see ``_product``."""
+        return self._product(a, units)[0]
 
-    def norm_cols(self, reps: np.ndarray) -> np.ndarray:
-        return self._sqrt_wide(sum_squares_wide(reps, self.fmt, self.stats))
+    def _product(self, a: FixedMatrix, units: np.ndarray) -> tuple[np.ndarray, int]:
+        """The narrowed ``a @ units`` for columns with every ``|cell| <= one``
+        (the solver multiplies only its unit vectors ``u`` and ``v``), and
+        ``B = n max|a|``, a bound on every narrowed cell.
+
+        Each wide cell sums ``n`` products of magnitude at most ``max|a|
+        one``, so ``|t| <= B one``; a saturating wide sum keeps this, since a
+        clamp only moves a sum toward zero.  When ``B < ubound`` no cell
+        reaches ``ubound << FL`` or ``lbound << FL``, below ``-ubound << FL``,
+        so the cast skips its check.  In every mode ``|cast(t)| <= B``:
+        ``B one`` is a multiple of ``one`` and every bias lies in
+        ``[0, one)``, so ``(t + bias) >> FL`` stays in ``[-B, B]``, and a
+        checked cast's clamp only moves ``t`` toward zero.  ``one`` bounds
+        ``max|units|`` for the GEMM choice of ``accumulate_product_wide``.
+        """
+        bound = a.shape[1] * a.max_abs
+        wide = accumulate_product_wide(a, units, self.stats, b_max=self.fmt.one)
+        return self.cast(wide, checked=bound >= self.fmt.ubound), bound
+
+    def step(
+        self, a: FixedMatrix, v: np.ndarray, u: np.ndarray, alpha: np.ndarray
+    ) -> tuple[np.ndarray, int | None]:
+        """The residual ``sub(matmul(a, v), mul(u, alpha))`` of one
+        bidiagonalization step, for unit columns ``v`` and ``u`` and their
+        norms ``alpha``, in that draw order; and a bound ``S`` on every
+        cell, or None if the difference had to be checked.
+
+        - A norm is the clamped root of a sum of squares, so ``0 <= alpha_j
+          <= ubound`` and ``|u_ij alpha_j| <= alpha_j one``.  That reaches a
+          shifted bound only if ``max(alpha) >= ubound`` (a cell at exactly
+          ``ubound << FL`` counts), so only then is the product checked.  As
+          in ``_product``, ``|cast(u alpha)| <= alpha_j``.
+        - So ``|cast(a v) - cast(u alpha)| <= B + max(alpha) = S``.  When
+          ``S < ubound`` every difference is a rep (``lbound < -ubound``), so
+          ``cast_wide_simple_array`` would return it unchanged and is not
+          called, and ``S`` is returned for the next norm.
+        """
+        av, bound = self._product(a, v)
+        alpha_max = int(alpha.max())
+        ualpha = self.cast(u * alpha, checked=alpha_max >= self.fmt.ubound)
+        bound += alpha_max
+        if bound < self.fmt.ubound:
+            return av - ualpha, bound
+        return self.sub(av, ualpha), None
+
+    def norm_cols(self, reps: np.ndarray, bound: int | None = None) -> np.ndarray:
+        """Column norms of ``reps``; ``bound``, if given, bounds every
+        ``|rep|`` (``sum_squares_wide``)."""
+        return self._sqrt_wide(sum_squares_wide(reps, self.fmt, self.stats, bound=bound))
 
     def _sqrt_wide(self, wide: np.ndarray) -> np.ndarray:
         if self.sqrt_path == "float":
@@ -191,8 +247,8 @@ class _FixedOps:
         tau``, ``r = big / lead``) with the rounding of ``div``,
         ``_sqrt_wide`` and ``mul``.  It skips only the guards and clamps
         that these ranges make dead, so every bit, saturation count and draw
-        equals the generic operations'.  ``other`` keeps its checked
-        ``cast_wide_array`` call, through which it draws:
+        equals the generic operations'.  ``other`` keeps its
+        ``cast_wide_array`` call, through which it draws, but unchecked:
 
         - ``|small| <= |big|``, so ``|tau| <= one``: its narrowing cannot
           saturate.  Its zero guard is live: ``big`` is 0 on a (0, 0) lane.
@@ -205,6 +261,8 @@ class _FixedOps:
         - ``h >= one``, so ``lead``'s divisor is never zero and
           ``|lead| <= one`` cannot saturate; ``|lead|`` is about
           ``one/sqrt(2)`` or more, so ``r``'s divisor is never zero either.
+        - ``|lead tau| <= one << FL``, far inside the shifted bounds, so
+          ``other``'s cast skips its check.
         - Every numerator is a rep shifted by FL, below 2**49, which meets
           ``trunc_div_array``'s precondition ``|num| < 2**53``.
         - ``|r|`` reaches about ``sqrt(2) |big|``: its clamp and count stay.
@@ -222,7 +280,7 @@ class _FixedOps:
         else:
             h = _isqrt_array(wide)
         lead = trunc_div_array(np.where(big >= 0, self._one_wide, self._minus_one_wide), h)
-        other = self.mul(lead, tau)
+        other = self.cast(lead * tau, checked=False)
         r = cast_wide_simple_array(trunc_div_array(big << fl, lead), self.fmt, self.stats)
         return np.where(take_b, other, lead), np.where(take_b, lead, other), r
 
@@ -253,11 +311,9 @@ def _solve_block(
     p = b.shape[1]
 
     beta = ops.norm_cols(b)
-    active = beta != 0
     u = ops.unit(b, beta)
     w = ops.matmul(at, u)
     alpha = ops.norm_cols(w)
-    active &= alpha != 0
     v = ops.unit(w, alpha)
 
     zetabar = ops.mul(alpha, beta)
@@ -271,9 +327,12 @@ def _solve_block(
     x = np.zeros_like(v)
     out = np.zeros_like(v)
     lanes = np.arange(p)
+    # the lanes that go on at the top of the next iteration; None while
+    # every lane does, so an iteration with no breakdown builds no mask
+    active = None if beta.all() and alpha.all() else (beta != 0) & (alpha != 0)
 
     for _ in range(iters):
-        if not active.all():
+        if active is not None:
             out[:, lanes[~active]] = x[:, ~active]
             lanes = lanes[active]
             u, v, h, hbar, x, alpha, alphabar, zetabar, rho, rhobar, cbar, sbar = (
@@ -282,43 +341,50 @@ def _solve_block(
             )
             if ops.col_rngs is not None:
                 ops.col_rngs.keep(active)
+            active = None
         if not lanes.size:
             break
-        s_vec = ops.sub(ops.matmul(a, v), ops.mul(u, alpha))
-        beta = ops.norm_cols(s_vec)
+        s_vec, bound = ops.step(a, v, u, alpha)
+        beta = ops.norm_cols(s_vec, bound)
         # A zero norm means the vector itself is all zeros, so the guarded
         # division below already yields the zero vector on breakdown lanes.
         u = ops.unit(s_vec, beta)
-        t_vec = ops.sub(ops.matmul(at, u), ops.mul(v, beta))
-        alpha = ops.norm_cols(t_vec)
+        t_vec, bound = ops.step(at, u, v, beta)
+        alpha = ops.norm_cols(t_vec, bound)
         v = ops.unit(t_vec, alpha)
 
         # Per-lane word operations that sit next to each other run as one
-        # call over stacked rows, in the order they draw.
+        # call over stacked rows, in the order they draw (neg draws nothing).
         c, s, rho_new = ops.rotate(alphabar, beta)
-        alphabar, theta = ops.mul(np.array((c, s)), alpha)
-        cbar, sbar_new, rhobar_new = ops.rotate(ops.mul(cbar, rho_new), theta)
-        zeta, zetabar = ops.mul(np.array((cbar, sbar_new)), zetabar)
+        alphabar, theta, cbar_rho = ops.mul(
+            np.array((c, s, cbar)), np.array((alpha, alpha, rho_new))
+        )
+        cbar, sbar_new, rhobar_new = ops.rotate(cbar_rho, theta)
+        zeta, zetabar, den_prev, den_cur, sbar_rho = ops.mul(
+            np.array((cbar, sbar_new, rho, rho_new, sbar)),
+            np.array((zetabar, zetabar, rhobar, rhobar_new, rho_new)),
+        )
         zetabar = ops.neg(zetabar)
 
-        den_prev, den_cur, sbar_rho = ops.mul(
-            np.array((rho, rho_new, sbar)), np.array((rhobar, rhobar_new, rho_new))
-        )
         dens = np.array((den_prev, den_cur, rho_new))
-        # A lane whose quotient denominators are (or round to) zero cannot
-        # complete this iteration: it keeps its iterate and leaves.
-        commit = (dens != 0).all(axis=0)
         coef_hbar, coef_x, coef_h = ops.div(
             np.array((ops.mul(sbar_rho, rho_new), zeta, theta)), dens
         )
         hbar = ops.sub(h, ops.mul(hbar, coef_hbar))
-        x = np.where(commit, ops.add(x, ops.mul(hbar, coef_x)), x)
+        x_new = ops.add(x, ops.mul(hbar, coef_x))
+        if dens.all() and beta.all() and alpha.all():
+            x = x_new
+        else:
+            # A lane whose quotient denominators are (or round to) zero
+            # cannot complete this iteration: it keeps its iterate and
+            # leaves.  An exhausted lane (zero beta or alpha) keeps this
+            # iteration's update -- the rotation already folded in the final
+            # step -- and then leaves.
+            commit = dens.all(axis=0)
+            x = np.where(commit, x_new, x)
+            active = commit & (beta != 0) & (alpha != 0)
         h = ops.sub(v, ops.mul(h, coef_h))
         rho, rhobar, sbar = rho_new, rhobar_new, sbar_new
-        # An exhausted lane (zero beta or alpha) keeps this iteration's
-        # update -- the rotation already folded in the final step -- and
-        # then leaves.
-        active = commit & (beta != 0) & (alpha != 0)
     out[:, lanes] = x
     return out
 

@@ -107,6 +107,8 @@ def accumulate_product_wide(
     a: FixedMatrix,
     b: np.ndarray,
     stats: SaturationStats | None = None,
+    *,
+    b_max: int | None = None,
 ) -> np.ndarray:
     """Wide accumulator for reps(a) @ reps(b): exact int64 products, with the
     running sum saturation-checked after every addition.
@@ -123,13 +125,19 @@ def accumulate_product_wide(
 
     ``b`` is a rep array in ``a``'s format.  The float64 copy and ``max|a|``
     are ``a``'s cached properties, so a matrix that meets many ``b`` prepares
-    them once.
+    them once.  ``b_max``, if given, is an upper bound on ``max|b|`` (``one``
+    for unit columns): the GEMM is chosen from it alone when it qualifies,
+    and ``max|b|`` is computed only when it does not.  A bound that admits
+    the GEMM admits every smaller ``max|b|``, so the path is always the one
+    ``max|b|`` alone would choose.
     """
     fmt = a.fmt
     m, n = a.shape
     p = b.shape[1]
-    bound = n * a.max_abs * int(np.abs(b).max(initial=0))
-    if bound <= min(1 << 53, fmt.wide_ubound):
+    limit = min(1 << 53, fmt.wide_ubound)
+    if b_max is None or n * a.max_abs * b_max > limit:
+        b_max = int(np.abs(b).max(initial=0))
+    if n * a.max_abs * b_max <= limit:
         return (a.floats @ b.astype(np.float64)).astype(np.int64)
     acc = np.zeros((m, p), dtype=np.int64)
     for k in range(n):
@@ -157,17 +165,22 @@ def sum_squares_wide(
     reps: np.ndarray,
     fmt: FixedFormat,
     stats: SaturationStats | None = None,
+    *,
+    bound: int | None = None,
 ) -> np.ndarray:
     """Column-wise sum of squared reps in the wide container.
 
     Squares are non-negative, so the running saturating sum equals the exact
     big-integer sum clamped at the container bound; the fast int64 path is
-    taken whenever overflow is provably impossible.
+    taken whenever overflow is provably impossible.  ``bound``, if given, is
+    an upper bound on every ``|rep|``: when ``m * bound**2`` fits the
+    container the largest square is not computed, since the path it would
+    choose is then the fast one.
     """
     m = reps.shape[0]
     sq = reps * reps  # exact: |rep| < 2**31 -> square < 2**62
-    max_sq = int(sq.max(initial=0))
-    if m * max_sq <= fmt.wide_ubound:
+    fits = bound is not None and m * bound * bound <= fmt.wide_ubound
+    if fits or m * int(sq.max(initial=0)) <= fmt.wide_ubound:
         return sq.sum(axis=0)
     exact = [int(s) for s in sq.astype(object).sum(axis=0)]
     if stats is not None:

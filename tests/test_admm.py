@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from admmlsmr import admm
+from admmlsmr import admm, fixedpoint
 from admmlsmr.admm import (
     IterationTimings,
     NetworkConfig,
@@ -404,6 +404,24 @@ class TestTrain:
         assert len(report.saturation_per_iteration) == 3
         assert report.config["fixed_format"] == {"word_length": 32, "fraction_length": 18}
         assert np.isfinite(state.weights[0]).all()
+
+    @pytest.mark.parametrize("arithmetic, checks", [("fixed32", 765), ("fixed16", 818)])
+    def test_narrowing_checks_per_training(self, monkeypatch, arithmetic, checks):
+        # The full-array saturation checks (_saturate calls) of one small
+        # training: an exact cost count that no machine speed moves.  It
+        # changes when a narrowing is added, removed or proved in range.
+        calls = 0
+        saturate = fixedpoint._saturate
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return saturate(*args, **kwargs)
+
+        monkeypatch.setattr(fixedpoint, "_saturate", counted)
+        cfg = NetworkConfig([4, 6, 3], iterations=3, arithmetic=arithmetic, seed=0, workers=1)
+        train(cfg, tiny_dataset(n=30))
+        assert calls == checks
 
     def test_saturation_regression_baseline(self, iris):
         # 32-bit words on standardized iris: observed worst per-sweep count is

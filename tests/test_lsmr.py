@@ -23,7 +23,12 @@ from admmlsmr.lsmr import (
     lsmr_solve,
     lsmr_solve_multi,
 )
-from admmlsmr.matrix import FixedMatrix, dequantize_matrix, quantize_matrix
+from admmlsmr.matrix import (
+    FixedMatrix,
+    accumulate_product_wide,
+    dequantize_matrix,
+    quantize_matrix,
+)
 from conftest import (
     OracleWords,
     conditioned_system,
@@ -271,6 +276,111 @@ class TestFixedOps:
         assert stats.events == 1
 
 
+@pytest.mark.parametrize("mode", list(RoundingMode), ids=[m.value for m in RoundingMode])
+@pytest.mark.parametrize("fmt", [FIXED16, FIXED32], ids=["fixed16", "fixed32"])
+class TestRangeProofs:
+    """Each narrowing check that ``_FixedOps`` skips on a range proof gives
+    the values, saturation count and stream position of the checked generic
+    operations, at each bound the proof compares with and one below it.  A
+    cell exactly at a bound counts as a saturation, so a skip at the bound
+    shows as a missing count.  (The unchecked ``other`` of a rotation is
+    covered by ``TestOracle.test_rotation``, whose lanes include
+    ``|tau| = one``.)"""
+
+    @staticmethod
+    def ops_pair(fmt, mode, p, draws):
+        """The ops under test and the checked reference, each with its own
+        count and with fresh copies of the same ``p`` streams, drawn in
+        blocks of ``draws + 1``."""
+
+        def ops():
+            streams = None
+            if mode is RoundingMode.STOCHASTIC:
+                streams = ColumnStreams([make_stream(7, j) for j in range(p)], fmt, draws + 1)
+            return _FixedOps(fmt, mode, streams, "float", SaturationStats())
+
+        return ops(), ops()
+
+    @staticmethod
+    def assert_same_counts_and_streams(ops, ref, p):
+        assert ops.stats.events == ref.stats.events
+        if ops.col_rngs is not None:
+            assert ops.col_rngs.take((1, p)).tolist() == ref.col_rngs.take((1, p)).tolist()
+
+    @pytest.mark.parametrize(
+        "n, max_abs", [(1, 0), (2, 1), (64, 0)], ids=["at-ubound", "below-ubound", "far-above"]
+    )
+    def test_unit_product(self, fmt, mode, n, max_abs):
+        # B = n max|a| is ubound, ubound - 1 (n = 2, max|a| = (ubound - 1) / 2)
+        # or 64 ubound, where the wide sum itself may saturate; unit columns
+        # of +-one make rows 0 and 1 reach +B.
+        one = fmt.one
+        m_abs = (fmt.ubound - max_abs) // n if n < 64 else fmt.ubound
+        a = FixedMatrix(np.array([[m_abs] * n, [-m_abs] * n, [m_abs // 3] * n]), fmt)
+        v = np.array([[one, -one, one // 2], [one, -one, -one // 7]] * (n // 2 or 1))[:n]
+        ops, ref = self.ops_pair(fmt, mode, 3, 3)
+        got, bound = ops._product(a, v)
+        want = ref.cast(accumulate_product_wide(a, v, ref.stats))
+        assert bound == n * m_abs
+        assert got.tolist() == want.tolist()
+        assert np.abs(got).max() <= bound
+        assert (ref.stats.events > 0) == (bound >= fmt.ubound)
+        self.assert_same_counts_and_streams(ops, ref, 3)
+
+    @pytest.mark.parametrize("slack", [0, 1], ids=["at-ubound", "below-ubound"])
+    def test_step_with_a_norm_at_ubound(self, fmt, mode, slack):
+        # u alpha reaches ubound << FL where alpha = ubound and u = +one; at
+        # u = -one the residual reaches ubound instead (row 1: a v = 0).
+        one = fmt.one
+        a = FixedMatrix(np.array([[1, 2], [0, 0], [3, 0]]), fmt)
+        v = np.array([[one, -one], [one // 2, one]])
+        u = np.array([[one, one // 3], [-one, -one], [one // 5, 0]])
+        alpha = np.array([fmt.ubound - slack, fmt.ubound // 3])
+        ops, ref = self.ops_pair(fmt, mode, 2, 6)
+        got, bound = ops.step(a, v, u, alpha)
+        want = ref.sub(ref.cast(accumulate_product_wide(a, v, ref.stats)), ref.mul(u, alpha))
+        assert bound is None
+        assert got.tolist() == want.tolist()
+        assert ref.stats.events == (2 if slack == 0 else 0)
+        self.assert_same_counts_and_streams(ops, ref, 2)
+
+    @pytest.mark.parametrize("slack", [0, 1], ids=["at-ubound", "below-ubound"])
+    def test_step_residual_bound(self, fmt, mode, slack):
+        # B + max(alpha) = ubound - slack, reached in row 0 of column 0:
+        # a v = B and u alpha = -max(alpha); every product is in range.
+        one, m_abs = fmt.one, fmt.ubound // 16
+        big = 4 * m_abs  # B
+        a = FixedMatrix(np.array([[m_abs] * 4, [-m_abs] * 4, [m_abs // 3, 0, -m_abs, 5]]), fmt)
+        v = np.array([[one, -one, one // 2], [one, one, 0], [one, -one, -one], [one, 0, 7]])
+        u = np.array([[-one, one, 3], [one, -one, -one], [0, one // 3, one]])
+        alpha = np.array([fmt.ubound - slack - big, fmt.ubound // 5, 0])
+        ops, ref = self.ops_pair(fmt, mode, 3, 6)
+        got, bound = ops.step(a, v, u, alpha)
+        want = ref.sub(ref.cast(accumulate_product_wide(a, v, ref.stats)), ref.mul(u, alpha))
+        assert got.tolist() == want.tolist()
+        assert ref.stats.events == (slack == 0)
+        self.assert_same_counts_and_streams(ops, ref, 3)
+        if slack:
+            assert bound == fmt.ubound - 1 and np.abs(got).max() == bound
+            assert ops.norm_cols(got, bound).tolist() == ref.norm_cols(want).tolist()
+        else:
+            assert bound is None
+
+    @pytest.mark.parametrize("rep", ["ubound", "lbound"])
+    def test_norm_bound_at_the_wide_bound(self, fmt, mode, rep):
+        # two cells of magnitude S: 2 S**2 fits the wide container for
+        # S = ubound and is wide_ubound + 1 for S = |lbound|, which saturates;
+        # either root saturates too
+        cell = getattr(fmt, rep)
+        assert (2 * cell * cell <= fmt.wide_ubound) == (rep == "ubound")
+        reps = np.array([[cell, 3], [cell, -fmt.one]])
+        ops, ref = self.ops_pair(fmt, mode, 2, 0)
+        got = ops.norm_cols(reps, abs(cell))
+        assert got.tolist() == ref.norm_cols(reps).tolist()
+        assert ops.stats.events == ref.stats.events
+        assert ref.stats.events == 1 + (rep == "lbound")
+
+
 class TestKernelLookups:
     # Calls per fixed solve of a 9 x 4 system, 3 columns, 4 iterations.  Each
     # of the 8 rotations computes its 3 quotients with trunc_div_array (24 of
@@ -278,13 +388,15 @@ class TestKernelLookups:
     # other through cast_wide_array; its root is taken inline, which these
     # counts leave out.  The 10 unit normalisations divide unchecked, and
     # each iteration's three coefficient quotients are one div.  Stacked
-    # per-lane products make 14 cast_wide_array calls an iteration, after 2
-    # before the loop.
+    # per-lane products make 12 cast_wide_array calls an iteration, after 2
+    # before the loop.  This system meets the residual bound (n max|a| plus
+    # the largest norm stays below ubound), so neither residual of an
+    # iteration calls cast_wide_simple_array: 7 calls an iteration remain.
     EXPECTED = {
         "accumulate_product_wide": 9,
         "trunc_div_array": 38,
-        "cast_wide_array": 58,
-        "cast_wide_simple_array": 36,
+        "cast_wide_array": 50,
+        "cast_wide_simple_array": 28,
         "sum_squares_wide": 10,
         "float_sqrt_array": 10,
     }
