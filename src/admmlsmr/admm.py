@@ -34,7 +34,7 @@ from .fixedpoint import (
     rekey,
     stream_keys,
 )
-from .lsmr import SQRT_PATHS, LsmrJob, lsmr_solve_multi
+from .lsmr import SQRT_PATHS, LsmrJob, _integer, lsmr_solve_multi
 from .matrix import FixedMatrix, quantize_matrix
 
 ARITHMETICS = ("real", "fixed16", "fixed32")
@@ -132,13 +132,6 @@ class NetworkConfig:
         if self.arithmetic == "fixed32":
             return FIXED32
         return None
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int; numpy integers pass, bools and the rest fail."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass

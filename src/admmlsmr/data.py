@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -135,8 +135,7 @@ def standardize(
     safe = np.where(constant, 1.0, std)
 
     def apply(ds: Dataset) -> Dataset:
-        feats = np.where(constant, 0.0, (ds.features - mean) / safe)
-        return Dataset(feats, ds.labels, ds.class_count, ds.feature_names, ds.label_names)
+        return replace(ds, features=np.where(constant, 0.0, (ds.features - mean) / safe))
 
     return apply(train), apply(test), (mean.ravel(), std.ravel())
 
@@ -152,27 +151,28 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> Split:
     order = np.random.default_rng(seed).permutation(n)
     test_idx, train_idx = order[:n_test], order[n_test:]
 
-    def take(idx: np.ndarray) -> Dataset:
-        return Dataset(
-            ds.features[:, idx],
-            ds.labels[idx],
-            ds.class_count,
-            ds.feature_names,
-            ds.label_names,
-        )
+    return Split(_take(ds, train_idx), _take(ds, test_idx), seed, test_fraction)
 
-    return Split(take(train_idx), take(test_idx), seed, test_fraction)
+
+def _take(ds: Dataset, idx: np.ndarray) -> Dataset:
+    """The samples ``idx`` of ``ds``, in that order."""
+    return replace(ds, features=ds.features[:, idx], labels=ds.labels[idx])
+
+
+def _count(name: str, value, high: int | None = None) -> int:
+    """``value`` as a Python int of at least 1 (and at most ``high``, if
+    given); numpy integers pass, bools and the rest raise ``DataError``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1 or high is not None and value > high):
+        want = "a positive integer" if high is None else f"an integer in [1, {high}]"
+        raise DataError(f"{name} must be {want}, got {value!r}")
+    return int(value)
 
 
 def subsample(ds: Dataset, n: int, seed: int) -> Dataset:
     """Choose n samples without replacement, seeded."""
-    if n > ds.n_samples:
-        raise DataError(f"cannot subsample {n} of {ds.n_samples} rows")
-    idx = np.random.default_rng(seed).choice(ds.n_samples, size=n, replace=False)
-    return Dataset(
-        ds.features[:, idx], ds.labels[idx], ds.class_count,
-        ds.feature_names, ds.label_names,
-    )
+    n = _count("n", n, ds.n_samples)
+    return _take(ds, np.random.default_rng(seed).choice(ds.n_samples, size=n, replace=False))
 
 
 def one_hot(labels: np.ndarray, class_count: int) -> np.ndarray:
@@ -189,13 +189,16 @@ def add_bias_feature(ds: Dataset) -> Dataset:
     """Append a constant-one feature row (a stand-in for bias terms)."""
     feats = np.vstack([ds.features, np.ones((1, ds.n_samples))])
     names = None if ds.feature_names is None else [*ds.feature_names, "bias"]
-    return Dataset(feats, ds.labels, ds.class_count, names, ds.label_names)
+    return replace(ds, features=feats, feature_names=names)
 
 
 def synthetic_blobs(
     n_features: int, n_samples: int, class_count: int, seed: int
 ) -> Dataset:
     """Gaussian class blobs for benchmarking without a file on disk."""
+    n_features = _count("n_features", n_features)
+    n_samples = _count("n_samples", n_samples)
+    class_count = _count("class_count", class_count)
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 1.5, size=(class_count, n_features))
     labels = rng.integers(0, class_count, size=n_samples)

@@ -5,7 +5,8 @@ streams that stochastic rounding draws from.
 A value is stored as a two's-complement integer representation (a "rep"); a rep
 ``r`` in a format with ``FL`` fraction bits denotes the real number
 ``r * 2**-FL``.  The kernels work cellwise on int64 rep arrays of any shape,
-0-d included.  Intermediate products and sums live in a "wide" container of
+0-d included, but a stochastic cast's last axis is its columns, one random
+stream each.  Intermediate products and sums live in a "wide" container of
 twice the word length.  Every kernel saturates to the format bounds instead
 of wrapping.  ``convert`` is the one scalar entry point: it quantizes one real
 number into a ``FixedWord``.
@@ -418,7 +419,6 @@ def cast_wide_array(
     t: np.ndarray,
     fmt: FixedFormat,
     mode: RoundingMode = RoundingMode.NEAREST,
-    rng: np.random.Generator | None = None,
     col_rngs: ColumnStreams | None = None,
     stats: "SaturationStats | None" = None,
     *,
@@ -433,16 +433,16 @@ def cast_wide_array(
     bits are dropped by an arithmetic shift, which truncates toward -inf on
     the rep.  The bias is 0 for down, ``2**FL - 1`` for up and
     ``2**(FL-1)`` for nearest; stochastic rounding draws one bias per cell,
-    saturated or not, from the cell's uniform (``_stochastic_bias``), taken
-    from ``rng`` or from column ``j``'s stream in ``col_rngs``.  A clamped
-    sum is a bound's rep with a zero fraction, and a bias below ``2**FL``
-    neither rounds it away from the bound nor overflows it.
+    saturated or not, from ``col_rngs``: the last axis of ``t`` is its
+    columns, so a stochastic cast needs one, while the other modes take any
+    shape.  A clamped sum is a bound's rep with a zero fraction, and a bias
+    below ``2**FL`` neither rounds it away from the bound nor overflows it.
 
     ``checked=False`` skips the saturation step, for a caller that has
     proved every cell strictly inside the shifted bounds; the result, the
     draws and the (zero) count are then those of the checked cast.
     """
-    _require_rng(mode, col_rngs if rng is None else rng)
+    _require_rng(mode, col_rngs)
     fl = fmt.fraction_length
     rep = np.empty_like(t)  # the out= arrays keep 0-d results arrays
     if checked:
@@ -450,10 +450,7 @@ def cast_wide_array(
     if mode is RoundingMode.DOWN:
         return np.right_shift(t, fl, out=rep)
     if mode is RoundingMode.STOCHASTIC:
-        bias = (
-            _stochastic_bias(rng.random(t.shape), fl)
-            if col_rngs is None else col_rngs.take(t.shape)
-        )
+        bias = col_rngs.take(t.shape)
     else:
         bias = (1 << fl) - 1 if mode is RoundingMode.UP else 1 << (fl - 1)
     return np.right_shift(np.add(t, bias, out=rep), fl, out=rep)

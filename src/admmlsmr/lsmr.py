@@ -405,6 +405,13 @@ def lsmr_solve(a: np.ndarray, b: np.ndarray, iters: int | None = None) -> np.nda
 
 # -- multi-right-hand-side jobs --------------------------------------------------
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; numpy integers pass, bools and the rest fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class LsmrJob:
     """One multi-column solve ``a X ~= b`` over every column of ``b``, for
@@ -428,6 +435,7 @@ class LsmrJob:
             _check_fmt(self.a, self.b)
         if self.iter_count is None:
             self.iter_count = min(a_shape)
+        self.iter_count = _integer("iter_count", self.iter_count)
         if self.iter_count < 1:
             raise ValueError("iter_count must be at least 1")
 

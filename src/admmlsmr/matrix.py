@@ -13,6 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .fixedpoint import (
+    ColumnStreams,
     FixedFormat,
     FixedFormatError,
     RoundingMode,
@@ -150,15 +151,16 @@ def mat_mul_fixed(
     a: FixedMatrix,
     b: FixedMatrix,
     mode: RoundingMode = RoundingMode.NEAREST,
-    rng: np.random.Generator | None = None,
+    col_rngs: ColumnStreams | None = None,
     stats: SaturationStats | None = None,
 ) -> FixedMatrix:
-    """Matrix product with exactly one rounding per output cell."""
+    """Matrix product with exactly one rounding per output cell; stochastic
+    rounding draws from ``col_rngs``, one stream per output column."""
     fmt = _check_fmt(a, b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions differ: {a.shape} x {b.shape}")
     acc = accumulate_product_wide(a, b.data, stats)
-    return FixedMatrix(cast_wide_array(acc, fmt, mode, rng, stats=stats), fmt)
+    return FixedMatrix(cast_wide_array(acc, fmt, mode, col_rngs, stats), fmt)
 
 
 def sum_squares_wide(

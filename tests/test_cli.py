@@ -166,6 +166,13 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.startswith("error: --label-col and --has-header apply to --data only")
 
+    def test_negative_synthetic_count_named(self, capsys):
+        code, out, err = run_cli(
+            capsys, "train", "--synthetic", "4,30,-2", "--arch", "4,3,2",
+        )
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: class_count must be a positive integer, got -2"]
+
     def test_wrong_arity_dataset(self, capsys, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("1,2,a\n1,b\n")

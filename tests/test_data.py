@@ -189,6 +189,21 @@ def test_subsample(iris):
     assert np.array_equal(sub.features, again.features)
     with pytest.raises(DataError):
         subsample(iris, 151, 0)
+    assert subsample(iris, np.int64(150), 0).n_samples == 150
+
+
+@pytest.mark.parametrize("n", [0, -1, 151, 2.5, "3", True])
+def test_subsample_needs_a_count_within_the_samples(iris, n):
+    with pytest.raises(DataError, match=r"^n must be an integer in \[1, 150\], got "):
+        subsample(iris, n, 0)
+
+
+@pytest.mark.parametrize("name", ["n_features", "n_samples", "class_count"])
+@pytest.mark.parametrize("value", [0, -2, 2.0, "3", True])
+def test_synthetic_blobs_need_positive_counts(name, value):
+    counts = {"n_features": 4, "n_samples": 30, "class_count": 2, name: value}
+    with pytest.raises(DataError, match=f"^{name} must be a positive integer, got "):
+        synthetic_blobs(**counts, seed=0)
 
 
 def test_bias_feature(iris):
@@ -202,3 +217,5 @@ def test_synthetic_blobs_learnable_and_deterministic():
     b = synthetic_blobs(6, 200, 3, seed=4)
     assert np.array_equal(a.features, b.features)
     assert a.class_count == 3 and a.n_features == 6 and a.n_samples == 200
+    c = synthetic_blobs(np.int64(6), np.int64(200), np.int32(3), seed=4)
+    assert np.array_equal(a.features, c.features) and type(c.class_count) is int

@@ -404,10 +404,15 @@ class TestKernelLookups:
     def test_solve_calls_kernels_through_the_lsmr_module(self, monkeypatch):
         # Per-kernel timings wrap these names where lsmr looks them up; a
         # solve that computed a kernel inline would report it as never called.
+        # The timing wrapper of cast_wide_array reads the streams and the
+        # counter by name, so every call must pass them as keywords.
         counts = dict.fromkeys(self.EXPECTED, 0)
+        cast_keywords = []
         for name in self.EXPECTED:
             def counted(*args, _fn=getattr(lsmr_module, name), _name=name, **kwargs):
                 counts[_name] += 1
+                if _name == "cast_wide_array":
+                    cast_keywords.append(kwargs.keys() >= {"col_rngs", "stats"})
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(lsmr_module, name, counted)
@@ -416,6 +421,7 @@ class TestKernelLookups:
         b = quantize_matrix(rng.uniform(-1, 1, (9, 3)), FIXED32)
         lsmr_solve_multi(LsmrJob(a, b), RoundingMode.NEAREST, stats=SaturationStats())
         assert counts == self.EXPECTED
+        assert cast_keywords == [True] * self.EXPECTED["cast_wide_array"]
 
 
 class TestMulti:
@@ -527,6 +533,10 @@ class TestMulti:
             LsmrJob(a, np.zeros((5, 2)), 4)
         with pytest.raises(ValueError):
             LsmrJob(a, b, 0)
+        for budget in (2.5, "3", True, False):
+            with pytest.raises(ValueError, match="iter_count must be an integer"):
+                LsmrJob(a, b, budget)
+        assert type(LsmrJob(a, b, np.int64(2)).iter_count) is int
         with pytest.raises(ValueError):  # a FIXED32 system, a FIXED16 right-hand side
             LsmrJob(quantize_matrix(a, FIXED32), quantize_matrix(b, FIXED16))
         with pytest.raises(ValueError, match="must be 2-D"):  # a one-dimensional right-hand side

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from admmlsmr.fixedpoint import (
     FIXED16,
     FIXED32,
+    ColumnStreams,
     FixedFormatError,
     RoundingMode,
     SaturationStats,
@@ -110,7 +111,10 @@ class TestFixedMatmul:
         b = q32(rng.uniform(-50, 50, size=(4, 3)))
         eye = q32(np.eye(4))
         for mode in RoundingMode:
-            rs = make_stream(0, 1) if mode is RoundingMode.STOCHASTIC else None
+            rs = (
+                ColumnStreams([make_stream(0, 1, j) for j in range(3)], FIXED32, 4)
+                if mode is RoundingMode.STOCHASTIC else None
+            )
             out = mat_mul_fixed(eye, b, mode, rs)
             assert np.array_equal(out.data, b.data)
         # right identity as well
