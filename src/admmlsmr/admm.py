@@ -30,11 +30,12 @@ from .fixedpoint import (
     FixedFormat,
     RoundingMode,
     SaturationStats,
+    _integer,
     make_stream,
     rekey,
     stream_keys,
 )
-from .lsmr import SQRT_PATHS, LsmrJob, _integer, lsmr_solve_multi
+from .lsmr import SQRT_PATHS, LsmrJob, lsmr_solve_multi
 from .matrix import FixedMatrix, quantize_matrix
 
 ARITHMETICS = ("real", "fixed16", "fixed32")
@@ -72,28 +73,18 @@ class NetworkConfig:
     sqrt_path: str = "float"
 
     def __post_init__(self) -> None:
-        dims = [_integer("layer width", d) for d in self.layer_dims]
-        self.iterations = _integer("iterations", self.iterations)
-        self.workers = _integer("workers", self.workers)
-        self.seed = _integer("seed", self.seed)
+        dims = [_integer("layer width", d, low=1) for d in self.layer_dims]
+        self.iterations = _integer("iterations", self.iterations, low=0)
+        self.workers = _integer("workers", self.workers, low=1)
+        self.seed = _integer("seed", self.seed, low=0)
         if self.lsmr_iterations is not None:
-            self.lsmr_iterations = _integer("lsmr_iterations", self.lsmr_iterations)
+            self.lsmr_iterations = _integer("lsmr_iterations", self.lsmr_iterations, low=1)
         if len(dims) < 3:
             raise ValueError("need at least input, one hidden and output widths")
-        if any(d < 1 for d in dims):
-            raise ValueError(f"layer widths must be positive, got {dims}")
         if self.arithmetic not in ARITHMETICS:
             raise ValueError(f"arithmetic must be one of {ARITHMETICS}")
-        if self.iterations < 0:
-            raise ValueError("iterations must be non-negative")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not isinstance(self.rounding, RoundingMode):
             raise ValueError(f"rounding must be a RoundingMode, got {self.rounding!r}")
-        if self.lsmr_iterations is not None and self.lsmr_iterations < 1:
-            raise ValueError("lsmr_iterations must be at least 1")
         if self.sqrt_path not in SQRT_PATHS:
             raise ValueError(f"sqrt_path must be one of {SQRT_PATHS}")
         self.layer_dims = dims
@@ -113,7 +104,7 @@ class NetworkConfig:
 
     @staticmethod
     def _expand(value, n: int) -> list[float]:
-        values = [value] * n if np.isscalar(value) else list(value)
+        values = [value] * n if np.ndim(value) == 0 else list(value)
         # float() would parse a string and read a bool as 0 or 1
         if any(isinstance(v, (str, bytes, bool, np.bool_)) for v in values):
             raise ValueError(f"penalty parameters must be numbers, got {value!r}")

@@ -65,6 +65,7 @@ def _add_run_flags(p: argparse.ArgumentParser, iters_default: int = 100) -> None
     p.add_argument("--data", help="CSV dataset path")
     p.add_argument(
         "--synthetic",
+        type=_widths,
         metavar="D,N,K",
         help="generate D features x N samples with K Gaussian classes instead of --data",
     )
@@ -104,10 +105,9 @@ def _load(args) -> tuple[Dataset, dict]:
         ds = datamod.load_csv(args.data, label_col, args.has_header)
         info = {"path": args.data}
     else:
-        try:
-            d, n, k = (int(v) for v in args.synthetic.split(","))
-        except ValueError:
-            raise DataError("--synthetic wants D,N,K integers") from None
+        if len(args.synthetic) != 3:
+            raise DataError("--synthetic wants D,N,K integers")
+        d, n, k = args.synthetic
         ds = datamod.synthetic_blobs(d, n, k, args.seed)
         info = {"synthetic": {"features": d, "samples": n, "classes": k}}
     if args.subsample is not None:

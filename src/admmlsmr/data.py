@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
+
+from .fixedpoint import _integer
 
 
 class DataError(ValueError):
@@ -23,6 +26,7 @@ class Dataset:
     label_names: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        self.class_count = _integer("class_count", self.class_count, low=1, error=DataError)
         if self.features.ndim != 2:
             raise DataError(f"features must be 2-D, got shape {self.features.shape}")
         if self.labels.ndim != 1:
@@ -78,13 +82,11 @@ def load_csv(path: str, label_column: int = -1, has_header: bool = False) -> Dat
                 width = len(record)
                 if width < 2:
                     raise DataError(f"{path}:{line_no}: need at least 2 columns")
+                col = _integer("label column", label_column, -width, width - 1, DataError) % width
             elif len(record) != width:
                 raise DataError(
                     f"{path}:{line_no}: expected {width} columns, got {len(record)}"
                 )
-            col = label_column if label_column >= 0 else width + label_column
-            if not 0 <= col < width:
-                raise DataError(f"label column {label_column} out of range for width {width}")
             values = []
             for j, cell in enumerate(record):
                 if j == col:
@@ -142,8 +144,8 @@ def standardize(
 
 def split(ds: Dataset, test_fraction: float, seed: int) -> Split:
     """Seeded shuffle, then partition into disjoint train/test row sets."""
-    if not 0.0 < test_fraction < 1.0:
-        raise DataError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    if not (isinstance(test_fraction, numbers.Real) and 0.0 < test_fraction < 1.0):
+        raise DataError(f"test_fraction must be a number in (0, 1), got {test_fraction!r}")
     n = ds.n_samples
     n_test = int(round(n * test_fraction))
     if n_test == 0 or n_test == n:
@@ -159,19 +161,9 @@ def _take(ds: Dataset, idx: np.ndarray) -> Dataset:
     return replace(ds, features=ds.features[:, idx], labels=ds.labels[idx])
 
 
-def _count(name: str, value, high: int | None = None) -> int:
-    """``value`` as a Python int of at least 1 (and at most ``high``, if
-    given); numpy integers pass, bools and the rest raise ``DataError``."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < 1 or high is not None and value > high):
-        want = "a positive integer" if high is None else f"an integer in [1, {high}]"
-        raise DataError(f"{name} must be {want}, got {value!r}")
-    return int(value)
-
-
 def subsample(ds: Dataset, n: int, seed: int) -> Dataset:
     """Choose n samples without replacement, seeded."""
-    n = _count("n", n, ds.n_samples)
+    n = _integer("n", n, 1, ds.n_samples, DataError)
     return _take(ds, np.random.default_rng(seed).choice(ds.n_samples, size=n, replace=False))
 
 
@@ -196,9 +188,9 @@ def synthetic_blobs(
     n_features: int, n_samples: int, class_count: int, seed: int
 ) -> Dataset:
     """Gaussian class blobs for benchmarking without a file on disk."""
-    n_features = _count("n_features", n_features)
-    n_samples = _count("n_samples", n_samples)
-    class_count = _count("class_count", class_count)
+    n_features = _integer("n_features", n_features, low=1, error=DataError)
+    n_samples = _integer("n_samples", n_samples, low=1, error=DataError)
+    class_count = _integer("class_count", class_count, low=1, error=DataError)
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 1.5, size=(class_count, n_features))
     labels = rng.integers(0, class_count, size=n_samples)

@@ -38,6 +38,20 @@ class FixedFormatError(ValueError):
     """Invalid word-length / fraction-length combination."""
 
 
+def _integer(name: str, value, low=None, high=None, error=ValueError) -> int:
+    """``value`` as a Python int in ``[low, high]``; numpy integers pass,
+    bools, other types and values out of range raise ``error``.  ``high``
+    needs ``low``; ``low`` alone may be None, 0 or 1."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or low is not None and value < low or high is not None and value > high):
+        if high is None:
+            want = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}[low]
+        else:
+            want = f"an integer in [{low}, {high}]"
+        raise error(f"{name} must be {want}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FixedFormat:
     """A two's-complement word of ``word_length`` bits, ``fraction_length`` of
@@ -51,13 +65,13 @@ class FixedFormat:
     fraction_length: int
 
     def __post_init__(self) -> None:
-        if self.word_length not in (16, 32):
-            raise FixedFormatError(f"word_length must be 16 or 32, got {self.word_length}")
-        if not 0 < self.fraction_length < self.word_length - 1:
-            raise FixedFormatError(
-                f"fraction_length must lie in (0, {self.word_length - 1}), "
-                f"got {self.fraction_length}"
-            )
+        wl = _integer("word_length", self.word_length, error=FixedFormatError)
+        if wl not in (16, 32):
+            raise FixedFormatError(f"word_length must be 16 or 32, got {wl}")
+        fl = _integer("fraction_length", self.fraction_length, 1, wl - 2, FixedFormatError)
+        # stored as ints: an int64 word length would overflow the wide bounds
+        object.__setattr__(self, "word_length", wl)
+        object.__setattr__(self, "fraction_length", fl)
 
     @property
     def integer_length(self) -> int:
@@ -104,9 +118,7 @@ class FixedFormat:
         return -(1 << (2 * self.word_length - 1))
 
     def word(self, rep: int) -> "FixedWord":
-        if not self.lbound <= rep <= self.ubound:
-            raise ValueError(f"rep {rep} outside [{self.lbound}, {self.ubound}]")
-        return FixedWord(int(rep), self)
+        return FixedWord(_integer("rep", rep, self.lbound, self.ubound), self)
 
 
 FIXED16 = FixedFormat(16, 10)
@@ -148,12 +160,11 @@ _MASK32 = 0xFFFFFFFF
 _ZEROS = (0, 0, 0, 0)
 
 
-def _words(value) -> list[int]:
+def _words(name: str, value) -> list[int]:
     """The little-endian 32-bit words of a non-negative integer, as numpy
-    splits entropy; zero is one word.  Anything else raises ``ValueError``."""
-    if not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"expected non-negative integer, got {value!r}")
-    value = int(value)
+    splits entropy; zero is one word.  Anything else raises ``ValueError``
+    naming ``name``."""
+    value = _integer(name, value, low=0)
     words = [value & _MASK32]
     while value := value >> 32:
         words.append(value & _MASK32)
@@ -200,7 +211,7 @@ def stream_keys(seed: int, key: Sequence[int], cols) -> np.ndarray:
     # numpy pads a seed of fewer than four words with zeros before a spawn
     # key, and hashes zeros into the pool words a seed alone leaves empty;
     # each word before the column's took four hash calls either way
-    n_words = max(len(_words(seed)), _POOL) + sum(len(_words(k)) for k in key)
+    n_words = max(len(_words("seed", seed)), _POOL) + sum(len(_words("key word", k)) for k in key)
     col_words = np.asarray(cols)
     if col_words.ndim != 1 or col_words.size and (
         col_words.dtype.kind not in "iu" or col_words.min() < 0
@@ -245,6 +256,8 @@ def make_stream(seed: int, *key: int) -> np.random.Generator:
 def _require_rng(
     mode: RoundingMode, rng: "np.random.Generator | ColumnStreams | None"
 ) -> None:
+    if not isinstance(mode, RoundingMode):
+        raise ValueError(f"mode must be a RoundingMode, got {mode!r}")
     if mode is RoundingMode.STOCHASTIC and rng is None:
         raise ValueError("stochastic rounding requires a random stream")
 
@@ -346,7 +359,10 @@ class ColumnStreams:
 
     def take(self, shape: tuple[int, ...]) -> np.ndarray:
         """The biases of every column's next uniforms as a view of
-        ``shape``, valid until the next call."""
+        ``shape``, valid until the next call.  The last axis of ``shape``
+        is the columns, so it needs one."""
+        if not shape:
+            raise ValueError("a stochastic cast needs a last axis of columns, got a 0-d array")
         k = math.prod(shape[:-1])
         if k and self._pos == len(self._bias):
             buf = np.empty((len(self._gens), self._next))

@@ -25,6 +25,7 @@ from .fixedpoint import (
     FixedFormat,
     RoundingMode,
     SaturationStats,
+    _integer,
     _isqrt_array,
     _round_root,
     cast_wide_array,
@@ -123,8 +124,6 @@ class _FixedOps:
         sqrt_path: str,
         stats: SaturationStats | None,
     ) -> None:
-        if sqrt_path not in SQRT_PATHS:
-            raise ValueError(f"sqrt_path must be one of {SQRT_PATHS}, got {sqrt_path!r}")
         self.fmt = fmt
         self.mode = mode
         self.col_rngs = col_rngs
@@ -405,13 +404,6 @@ def lsmr_solve(a: np.ndarray, b: np.ndarray, iters: int | None = None) -> np.nda
 
 # -- multi-right-hand-side jobs --------------------------------------------------
 
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int; numpy integers pass, bools and the rest fail."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass
 class LsmrJob:
     """One multi-column solve ``a X ~= b`` over every column of ``b``, for
@@ -435,9 +427,7 @@ class LsmrJob:
             _check_fmt(self.a, self.b)
         if self.iter_count is None:
             self.iter_count = min(a_shape)
-        self.iter_count = _integer("iter_count", self.iter_count)
-        if self.iter_count < 1:
-            raise ValueError("iter_count must be at least 1")
+        self.iter_count = _integer("iter_count", self.iter_count, low=1)
 
     @property
     def col_count(self) -> int:
@@ -465,8 +455,13 @@ def lsmr_solve_multi(
     copies are cached on its ``FixedMatrix``, so every job over one system
     shares them.  A real solve raises ``FloatingPointError`` on overflow,
     division by zero or an invalid operation, rather than return the zeros
-    an overflowed norm leaves.
+    an overflowed norm leaves.  ``mode`` and ``sqrt_path`` are checked in
+    either arithmetic.
     """
+    if not isinstance(mode, RoundingMode):
+        raise ValueError(f"mode must be a RoundingMode, got {mode!r}")
+    if sqrt_path not in SQRT_PATHS:
+        raise ValueError(f"sqrt_path must be one of {SQRT_PATHS}, got {sqrt_path!r}")
     if not isinstance(job.a, FixedMatrix):
         at = np.ascontiguousarray(job.a.T)
         with np.errstate(over="raise", divide="raise", invalid="raise"):

@@ -211,14 +211,17 @@ class TestInit:
         )
         # the seed and the rounding mode are checked here, not first in train
         for bad in (1.5, "3", None, True):
-            with pytest.raises(ValueError, match="seed must be an integer"):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer, got "):
                 NetworkConfig([4, 8, 3], seed=bad)
-        with pytest.raises(ValueError, match="seed must be non-negative"):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
             NetworkConfig([4, 8, 3], seed=-1)
         for bad in ("nearest", None):
             with pytest.raises(ValueError, match="rounding must be a RoundingMode"):
                 NetworkConfig([4, 8, 3], arithmetic="fixed32", rounding=bad)
         assert NetworkConfig([4, 8, 3], seed=np.uint64(7)).seed == 7
+        # a 0-d array is one penalty for every layer, like a scalar
+        cfg = NetworkConfig([4, 8, 3], beta=np.array(2.0), gamma=np.float32(0.5))
+        assert (cfg.betas(), cfg.gammas()) == ([2.0, 2.0], [0.5])
         assert NetworkConfig([4, 8, 3], seed=2**70).seed == 2**70
 
 

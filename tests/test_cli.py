@@ -157,6 +157,18 @@ class TestErrors:
         assert exc.value.code == 2
         assert "--arch: expected comma-separated integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("synthetic", ["4,,2", "4,x,2", ""])
+    def test_malformed_synthetic_exits_2(self, capsys, synthetic):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--synthetic", synthetic, "--arch", "4,3,2"])
+        assert exc.value.code == 2
+        assert "--synthetic: expected comma-separated integers" in capsys.readouterr().err
+
+    def test_synthetic_needs_three_counts(self, capsys):
+        code, out, err = run_cli(capsys, "train", "--synthetic", "4,30", "--arch", "4,3,2")
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: --synthetic wants D,N,K integers"]
+
     @pytest.mark.parametrize("flags", [("--label-col", "7"), ("--has-header",)])
     def test_csv_flags_rejected_with_synthetic(self, capsys, flags):
         code, out, err = run_cli(
@@ -218,7 +230,7 @@ class TestErrors:
     def test_negative_seed_exits_1(self, capsys):
         code, _, err = run_cli(capsys, *train_args("--seed", "-1"))
         assert code == 1
-        assert err.startswith("error: seed must be non-negative")
+        assert err.startswith("error: seed must be a non-negative integer, got -1")
 
 
 class TestCompareRounding:

@@ -8,6 +8,7 @@ from admmlsmr.data import (
     DataError,
     Dataset,
     add_bias_feature,
+    iris_path,
     load_csv,
     one_hot,
     split,
@@ -80,6 +81,15 @@ class TestLoadErrors:
         with pytest.raises(DataError, match="label column"):
             load_csv(str(p), label_column=7)
 
+    @pytest.mark.parametrize("column", [1.5, True, -6, 5])
+    def test_label_column_must_be_an_integer_in_range(self, column):
+        # a float column matches no cell index, so the label cell would be
+        # parsed as a feature
+        with pytest.raises(
+            DataError, match=r"^label column must be an integer in \[-5, 4\], got "
+        ):
+            load_csv(iris_path(), column, True)
+
 
 class TestStandardize:
     def test_train_statistics(self, iris):
@@ -139,6 +149,9 @@ class TestSplit:
         for frac in (0.0, 1.0, 0.001):
             with pytest.raises(DataError):
                 split(iris, frac, 0)
+        for frac in ("0.2", None):
+            with pytest.raises(DataError, match=r"^test_fraction must be a number in \(0, 1\)"):
+                split(iris, frac, 0)
 
 
 def test_one_hot_columns_sum_to_one():
@@ -158,6 +171,12 @@ def test_labels_must_be_dense_indices():
         with pytest.raises(DataError, match="label index out of range"):
             Dataset(np.zeros((2, 3)), np.array(labels), 2)
     assert Dataset(np.zeros((2, 3)), np.array([0, 1, 1]), 2).n_samples == 3
+
+
+@pytest.mark.parametrize("count", [1.5, True, 0])
+def test_class_count_must_be_a_positive_integer(count):
+    with pytest.raises(DataError, match="^class_count must be a positive integer, got "):
+        Dataset(np.zeros((2, 3)), np.array([0, 0, 0]), count)
 
 
 def test_labels_must_be_integers():

@@ -197,15 +197,26 @@ class TestFormat:
 
     # a word of sign and fraction bits only cannot hold one: (16, 15), (32, 31)
     @pytest.mark.parametrize(
-        "wl,fl", [(16, 0), (16, 15), (16, 16), (32, 31), (32, 40), (8, 4), (64, 18)]
+        "wl,fl", [(16, 0), (16, 15), (16, 16), (32, 31), (32, 40), (8, 4), (64, 18),
+                  (16.0, 10), (32, True)]
     )
     def test_invalid_formats_rejected(self, wl, fl):
         with pytest.raises(FixedFormatError):
             FixedFormat(wl, fl)
 
+    def test_numpy_integer_lengths_become_ints(self):
+        # an int64 word length would wrap the wide bound's shift
+        fmt = FixedFormat(np.int64(32), np.int32(18))
+        assert fmt == FIXED32 and type(fmt.word_length) is type(fmt.fraction_length) is int
+
     def test_word_range_check(self):
         with pytest.raises(ValueError):
             FIXED16.word(2**15)
+        # int() would truncate a float rep to a word silently
+        for rep in (1.5, True, FIXED16.lbound - 1):
+            with pytest.raises(ValueError, match=r"^rep must be an integer in \[-32768, 32767\], got "):
+                FIXED16.word(rep)
+        assert FIXED16.word(np.int64(-28254)) == (-28254, FIXED16)
 
 
 class TestConvert:
@@ -248,6 +259,11 @@ class TestConvert:
     def test_stochastic_needs_stream(self):
         with pytest.raises(ValueError):
             convert(0.3, FIXED16, RoundingMode.STOCHASTIC)
+
+    def test_mode_must_be_a_rounding_mode(self):
+        # a mode's name matches no mode and would reach the stochastic branch
+        with pytest.raises(ValueError, match="^mode must be a RoundingMode, got 'nearest'$"):
+            convert_array(np.array([0.3]), FIXED32, "nearest")
 
     def test_matches_rational_oracle(self):
         rng = np.random.default_rng(5)
@@ -334,6 +350,19 @@ class TestCastWide:
         streams = ColumnStreams([make_stream(0, 99)], FIXED16, 1)
         got = cast_wide_array(np.full((1, 1), t), FIXED16, RoundingMode.STOCHASTIC, streams)
         assert got.tolist() == [[23689]]
+
+    def test_mode_must_be_a_rounding_mode(self):
+        # a mode's name matches no mode and would round to nearest
+        with pytest.raises(ValueError, match="^mode must be a RoundingMode, got 'up'$"):
+            cast_wide_array(np.array([[5]]), FIXED32, "up")
+
+    @pytest.mark.parametrize("n_streams", [1, 2])
+    def test_stochastic_cast_needs_a_column_axis(self, n_streams):
+        # a 0-d array has no column axis: one stream would cast it silently,
+        # two would fail in a reshape
+        streams = ColumnStreams([make_stream(0, j) for j in range(n_streams)], FIXED16, 1)
+        with pytest.raises(ValueError, match="needs a last axis of columns"):
+            cast_wide_array(np.array(5), FIXED16, RoundingMode.STOCHASTIC, streams)
 
     def test_simple_cast_cases(self):
         t = np.array([2**40, 5, FIXED32.lbound - 1])
@@ -903,6 +932,8 @@ class TestStreamKeys:
             (-1, (), [0]),
             (1.5, (), [0]),
             ("3", (), [0]),
+            (True, (3,), [0]),
+            (0, (3, True), [0]),
             (0, (3, -1), [0]),
             (0, (3, 2.0), [0]),
             (0, (3,), [-1]),
@@ -911,7 +942,8 @@ class TestStreamKeys:
             (0, (3,), [1.5]),
             (0, (3,), 4),
         ],
-        ids=["negative-seed", "float-seed", "str-seed", "negative-word", "float-word",
+        ids=["negative-seed", "float-seed", "str-seed", "bool-seed", "bool-word",
+             "negative-word", "float-word",
              "negative-col", "two-word-col", "huge-col", "float-col", "scalar-cols"],
     )
     def test_bad_input_rejected(self, seed, key, cols):

@@ -534,7 +534,7 @@ class TestMulti:
         with pytest.raises(ValueError):
             LsmrJob(a, b, 0)
         for budget in (2.5, "3", True, False):
-            with pytest.raises(ValueError, match="iter_count must be an integer"):
+            with pytest.raises(ValueError, match="iter_count must be a positive integer, got "):
                 LsmrJob(a, b, budget)
         assert type(LsmrJob(a, b, np.int64(2)).iter_count) is int
         with pytest.raises(ValueError):  # a FIXED32 system, a FIXED16 right-hand side
@@ -544,6 +544,18 @@ class TestMulti:
         with pytest.raises(ValueError, match="must be 2-D"):  # a one-dimensional system
             LsmrJob(np.zeros(4), b)
         assert LsmrJob(a, b).col_count == 2
+
+    @pytest.mark.parametrize("fmt", [None, FIXED32], ids=["real", "fixed32"])
+    def test_mode_and_sqrt_path_checked_in_either_arithmetic(self, fmt):
+        # a real solve reads neither argument, and a fixed solve would round
+        # to nearest under a mode's name
+        a, b = np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([[1.0], [0.3]])
+        if fmt is not None:
+            a, b = quantize_matrix(a, fmt), quantize_matrix(b, fmt)
+        with pytest.raises(ValueError, match="^mode must be a RoundingMode, got 'down'$"):
+            lsmr_solve_multi(LsmrJob(a, b), "down")
+        with pytest.raises(ValueError, match="^sqrt_path must be one of .*, got 'bogus'$"):
+            lsmr_solve_multi(LsmrJob(a, b), sqrt_path="bogus")
 
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_stochastic_needs_one_stream_per_column(self, count):
