@@ -106,7 +106,7 @@ class NetworkConfig:
     def _expand(value, n: int) -> list[float]:
         values = [value] * n if np.ndim(value) == 0 else list(value)
         # float() would parse a string and read a bool as 0 or 1
-        if any(isinstance(v, (str, bytes, bool, np.bool_)) for v in values):
+        if any(isinstance(v, (str, bytes)) or np.asarray(v).dtype == bool for v in values):
             raise ValueError(f"penalty parameters must be numbers, got {value!r}")
         out = [float(v) for v in values]
         if len(out) != n:
@@ -133,8 +133,6 @@ class NetworkState:
     z: list[np.ndarray]             # pre-activations, one per weight layer
     x: list[np.ndarray]             # hidden activations (len = layers - 1)
     lam: np.ndarray                 # multiplier, shaped like the output z
-    x0: np.ndarray                  # inputs, features x samples
-    y: np.ndarray                   # one-hot targets, outputs x samples
 
 
 @dataclass
@@ -205,31 +203,37 @@ def relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def init_network(
-    cfg: NetworkConfig, x0: np.ndarray, y: np.ndarray, rng: np.random.Generator
-) -> NetworkState:
+def init_network(cfg: NetworkConfig, x0: np.ndarray, rng: np.random.Generator) -> NetworkState:
     """Uniform weights in [-0.1, 0.1], state populated by a forward pass,
     multiplier zeroed."""
     dims = cfg.layer_dims
     if x0.shape[0] != dims[0]:
         raise ValueError(f"inputs have {x0.shape[0]} features, expected {dims[0]}")
-    if y.shape[0] != dims[-1] or y.shape[1] != x0.shape[1]:
-        raise ValueError(f"targets shaped {y.shape} do not match {dims[-1]}x{x0.shape[1]}")
     weights = [
         rng.uniform(-0.1, 0.1, size=(dims[l + 1], dims[l]))
         for l in range(cfg.layer_count)
     ]
+    z, x = _forward(weights, x0)
+    return NetworkState(weights, z, x, np.zeros_like(z[-1]))
+
+
+def _forward(
+    weights: Sequence[np.ndarray], inputs: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The feed-forward rule: every layer's pre-activation ``z`` and every
+    hidden layer's activation ``x``, with ReLU after every layer except the
+    last (linear) one."""
     z: list[np.ndarray] = []
     x: list[np.ndarray] = []
-    cur = x0
+    cur = inputs
     for l, w in enumerate(weights):
-        z_l = w @ cur
-        z.append(z_l)
-        if l < cfg.layer_count - 1:
-            cur = relu(z_l)
+        if w.shape[1] != cur.shape[0]:
+            raise ValueError(f"layer {l}: weights {w.shape} cannot take {cur.shape}")
+        z.append(w @ cur)
+        if l < len(weights) - 1:
+            cur = relu(z[-1])
             x.append(cur)
-    lam = np.zeros_like(z[-1])
-    return NetworkState(weights, z, x, lam, x0, y)
+    return z, x
 
 
 # -- closed-form updates -------------------------------------------------------
@@ -299,27 +303,25 @@ class SolveEngine:
         # how it was first seeded never shows
         self._column_streams: list[np.random.Generator] = []
 
-    def _next_job_id(self) -> int:
-        self._job_counter += 1
-        return self._job_counter
-
     def prepare(self, a: np.ndarray, b: np.ndarray, chunks: int = 1):
         """Split one solve of ``a X ~= b`` (all columns) into at most
         ``chunks`` jobs over contiguous, non-empty column ranges; the default
         is one job.
 
         Returns (tasks, collect, finish, prep_seconds): each task is a
-        zero-argument callable that solves one range, ``collect`` stores a
-        task's result, and ``finish()`` returns the full solution once every
-        result is in.  ``prep_seconds`` covers the quantization hop so it
+        zero-argument callable that solves one range and returns its
+        columns of the solution, ``collect`` keeps a task's result, and
+        ``finish()`` joins the results, collected in task order, into the
+        full solution.  ``prep_seconds`` covers the quantization hop so it
         lands in the owning procedure's time bucket.  The whole of ``b`` is
         quantized before the split, so the quantize stream's draws do not
         depend on it.
         """
         prep_start = time.perf_counter()
-        job_id = self._next_job_id()
+        self._job_counter += 1
+        job_id = self._job_counter
         iters = self.cfg.lsmr_iterations
-        n, p = a.shape[1], b.shape[1]
+        p = b.shape[1]
 
         keys = None
         if self.fmt is None:
@@ -332,10 +334,8 @@ class SolveEngine:
             a_solver = quantize_matrix(a, self.fmt, self.mode, q_rng, self.saturation)
             b = quantize_matrix(b, self.fmt, self.mode, q_rng, self.saturation)
 
-        out = np.zeros((n, p))
-
         def make_task(cols: np.ndarray):
-            def task() -> tuple[np.ndarray, np.ndarray]:
+            def task() -> np.ndarray:
                 if self.fmt is None:
                     b_cols = b[:, cols]
                 else:
@@ -347,26 +347,20 @@ class SolveEngine:
                     sqrt_path=self.cfg.sqrt_path,
                     stats=self.saturation,
                 )
-                if self.fmt is not None:
-                    res = res.to_real()
-                return cols, res
+                return res if self.fmt is None else res.to_real()
 
             return task
 
         ranges = np.array_split(np.arange(p), max(1, min(chunks, p)))
         tasks = [make_task(cols) for cols in ranges]
-
-        def collect(result: tuple[np.ndarray, np.ndarray]) -> None:
-            cols, res = result
-            out[:, cols] = res
-
-        return tasks, collect, lambda: out, time.perf_counter() - prep_start
+        parts: list[np.ndarray] = []
+        return tasks, parts.append, lambda: np.hstack(parts), time.perf_counter() - prep_start
 
     def _round_streams(self, keys: list, cols: np.ndarray) -> list[np.random.Generator]:
         """The column streams of ``cols`` in a stochastic solve whose column
         keys are ``keys``: pooled generator ``j``, re-keyed to ``keys[j]``,
-        serves column ``j``.  A task re-keys them when it runs, so solves
-        prepared before others ran still start every stream at zero.
+        serves column ``j``.  Each task re-keys its streams just before its
+        solve, so they start at zero whichever solve used the pool last.
         """
         pool = self._column_streams
         pool.extend(np.random.Generator(np.random.Philox()) for _ in range(len(keys) - len(pool)))
@@ -418,15 +412,7 @@ def activation_update(
 
 def predict(weights: Sequence[np.ndarray], inputs: np.ndarray) -> np.ndarray:
     """Forward pass: ReLU after every layer except the last (linear) one."""
-    cur = inputs
-    last = len(weights) - 1
-    for l, w in enumerate(weights):
-        if w.shape[1] != cur.shape[0]:
-            raise ValueError(f"layer {l}: weights {w.shape} cannot take {cur.shape}")
-        cur = w @ cur
-        if l != last:
-            cur = relu(cur)
-    return cur
+    return _forward(weights, inputs)[0][-1]
 
 
 def accuracy(outputs: np.ndarray, labels: np.ndarray) -> float:
@@ -468,13 +454,13 @@ def train(
     # pass on, ends the run: the state it leaves can look finite (a column
     # norm that overflows to inf zeroes its solution) and be no solution.
     with _diverge_on_fp_error(cfg.arithmetic):
-        state = init_network(cfg, x0, y, rng)
+        state = init_network(cfg, x0, rng)
         wall_start = time.perf_counter()
         for _ in range(cfg.iterations):
             timings = IterationTimings()
             sat_before = engine.saturation.events
             for l in range(n_layers - 1):
-                x_prev = state.x0 if l == 0 else state.x[l - 1]
+                x_prev = x0 if l == 0 else state.x[l - 1]
                 state.weights[l], secs = weight_update(state.z[l], x_prev, engine)
                 timings.weight += secs
                 state.x[l], secs = activation_update(
@@ -491,9 +477,7 @@ def train(
 
             # output layer: weight solve, closed-form z, multiplier ascent
             x_prev = state.x[-1]
-            state.weights[-1], secs = weight_update(
-                state.z[-1], x_prev, engine, min(cfg.workers, state.z[-1].shape[0])
-            )
+            state.weights[-1], secs = weight_update(state.z[-1], x_prev, engine, cfg.workers)
             timings.weight += secs
 
             t0 = time.perf_counter()

@@ -55,8 +55,6 @@ class Dataset:
 class Split:
     train: Dataset
     test: Dataset
-    seed: int
-    test_fraction: float
 
 
 def load_csv(path: str, label_column: int = -1, has_header: bool = False) -> Dataset:
@@ -105,7 +103,8 @@ def load_csv(path: str, label_column: int = -1, has_header: bool = False) -> Dat
     features = np.array(rows, dtype=np.float64).T
     names = None
     if header is not None:
-        col = label_column if label_column >= 0 else len(header) + label_column
+        if len(header) != width:
+            raise DataError(f"{path}: header has {len(header)} columns, rows have {width}")
         names = [h for j, h in enumerate(header) if j != col]
     return Dataset(
         features=features,
@@ -153,7 +152,7 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> Split:
     order = np.random.default_rng(seed).permutation(n)
     test_idx, train_idx = order[:n_test], order[n_test:]
 
-    return Split(_take(ds, train_idx), _take(ds, test_idx), seed, test_fraction)
+    return Split(_take(ds, train_idx), _take(ds, test_idx))
 
 
 def _take(ds: Dataset, idx: np.ndarray) -> Dataset:

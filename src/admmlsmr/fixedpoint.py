@@ -360,9 +360,14 @@ class ColumnStreams:
     def take(self, shape: tuple[int, ...]) -> np.ndarray:
         """The biases of every column's next uniforms as a view of
         ``shape``, valid until the next call.  The last axis of ``shape``
-        is the columns, so it needs one."""
+        is the columns, one per stream, so it needs one."""
         if not shape:
             raise ValueError("a stochastic cast needs a last axis of columns, got a 0-d array")
+        if shape[-1] != len(self._gens):
+            raise ValueError(
+                f"a stochastic cast of {shape[-1]} columns needs as many streams, "
+                f"got {len(self._gens)}"
+            )
         k = math.prod(shape[:-1])
         if k and self._pos == len(self._bias):
             buf = np.empty((len(self._gens), self._next))

@@ -150,8 +150,7 @@ class TestInit:
     def test_multiplier_zero_and_forward_consistency(self):
         ds = tiny_dataset()
         cfg = NetworkConfig([4, 6, 3], seed=1)
-        y = one_hot(ds.labels, 3)
-        st = init_network(cfg, ds.features, y, make_stream(1, 0))
+        st = init_network(cfg, ds.features, make_stream(1, 0))
         assert not st.lam.any()
         assert np.array_equal(st.z[0], st.weights[0] @ ds.features)
         assert np.array_equal(st.x[0], np.maximum(st.z[0], 0.0))
@@ -159,16 +158,24 @@ class TestInit:
     def test_seed_determinism(self):
         ds = tiny_dataset()
         cfg = NetworkConfig([4, 6, 3], seed=5)
-        y = one_hot(ds.labels, 3)
-        a = init_network(cfg, ds.features, y, make_stream(5, 0))
-        b = init_network(cfg, ds.features, y, make_stream(5, 0))
+        a = init_network(cfg, ds.features, make_stream(5, 0))
+        b = init_network(cfg, ds.features, make_stream(5, 0))
         assert state_bytes(a) == state_bytes(b)
 
     def test_shape_mismatch(self):
         ds = tiny_dataset()
         cfg = NetworkConfig([5, 6, 3])
         with pytest.raises(ValueError):
-            init_network(cfg, ds.features, one_hot(ds.labels, 3), make_stream(0, 0))
+            init_network(cfg, ds.features, make_stream(0, 0))
+
+    def test_predict_matches_the_initial_forward_pass(self):
+        ds = tiny_dataset()
+        cfg = NetworkConfig([4, 6, 5, 3], seed=3)
+        st = init_network(cfg, ds.features, make_stream(3, 0))
+        assert predict(st.weights, ds.features).tobytes() == st.z[-1].tobytes()
+        assert len(st.x) == 2
+        for z, x in zip(st.z, st.x):
+            assert x.tobytes() == np.maximum(z, 0.0).tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -187,6 +194,8 @@ class TestInit:
         for bad in (
             dict(beta="0.5"), dict(gamma=True), dict(beta=[True, "2"]),
             dict(beta=np.True_), dict(gamma=[np.bool_(True)]), dict(beta=b"1"),
+            dict(beta=np.array(True)), dict(beta=[np.array(True), 1.0]),
+            dict(gamma=np.array(True)), dict(gamma=[np.array(True)]),
         ):
             with pytest.raises(ValueError, match="numbers"):
                 NetworkConfig(**{"layer_dims": [4, 8, 3], **bad})
@@ -377,9 +386,7 @@ class TestTrain:
         ds = tiny_dataset()
         cfg = NetworkConfig([4, 6, 3], iterations=0, seed=9, workers=1)
         state, report = train(cfg, ds)
-        ref = init_network(
-            cfg, ds.features, one_hot(ds.labels, 3), make_stream(9, 1)
-        )
+        ref = init_network(cfg, ds.features, make_stream(9, 1))
         assert state_bytes(state) == state_bytes(ref)
         assert report.timings == []
         assert report.train_accuracy is not None

@@ -41,6 +41,14 @@ def test_header_skipped(tmp_path):
     assert ds.feature_names == ["a", "b"]
 
 
+def test_header_names_follow_the_label_column(tmp_path):
+    p = tmp_path / "h0.csv"
+    p.write_text("label,a,b\nx,1,2\ny,3,4\n")
+    ds = load_csv(str(p), label_column=0, has_header=True)
+    assert ds.feature_names == ["a", "b"]
+    assert ds.features[:, 0].tolist() == [1.0, 2.0]
+
+
 def test_label_column_index(tmp_path):
     p = tmp_path / "l.csv"
     p.write_text("x,1.5,2.5\ny,3.5,4.5\n")
@@ -68,6 +76,13 @@ class TestLoadErrors:
         p.write_text("1,2,cat\n1,2,3,dog\n")
         with pytest.raises(DataError, match="expected 3 columns"):
             load_csv(str(p))
+
+    def test_header_width_must_match_the_rows(self, tmp_path):
+        # 4 names over 5 cells would name 3 of the 4 features
+        p = tmp_path / "header.csv"
+        p.write_text("a,b,c,label\n1,2,3,4,cat\n")
+        with pytest.raises(DataError, match="header has 4 columns, rows have 5$"):
+            load_csv(str(p), has_header=True)
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"

@@ -364,6 +364,17 @@ class TestCastWide:
         with pytest.raises(ValueError, match="needs a last axis of columns"):
             cast_wide_array(np.array(5), FIXED16, RoundingMode.STOCHASTIC, streams)
 
+    @pytest.mark.parametrize("n_streams, shape", [(2, (2, 3)), (3, (2, 2))])
+    def test_stochastic_cast_needs_one_stream_per_column(self, n_streams, shape):
+        # the check comes before any draw, so no stream moves
+        gens = [make_stream(0, j) for j in range(n_streams)]
+        streams = ColumnStreams(gens, FIXED16, 1)
+        with pytest.raises(
+            ValueError, match=f"cast of {shape[-1]} columns needs as many streams, got {n_streams}$"
+        ):
+            cast_wide_array(np.zeros(shape, np.int64), FIXED16, RoundingMode.STOCHASTIC, streams)
+        assert [g.random() for g in gens] == [make_stream(0, j).random() for j in range(n_streams)]
+
     def test_simple_cast_cases(self):
         t = np.array([2**40, 5, FIXED32.lbound - 1])
         assert cast_wide_simple_array(t, FIXED32).tolist() == [FIXED32.ubound, 5, FIXED32.lbound]
