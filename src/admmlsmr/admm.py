@@ -3,11 +3,11 @@
 Each sweep alternates exact per-variable minimisations: weights and
 activations are least-squares solves handled by the LSMR solver, the
 pre-activations have elementwise closed forms, and a running multiplier
-enforces the output constraint.  The two solver-backed procedures of a layer
-are independent of each other, and so is every column of a solve; the
-trainer runs each solve as one block of columns on the calling thread, except
-the output-layer weight solve, which it splits into at most ``workers``
-column ranges that run in order.
+enforces the output constraint.  Each sweep runs two waves of mutually
+independent solves, the hidden activations and then the weights, and every
+column of a solve is independent too; each solve runs as one block of
+columns on the calling thread, except the output-layer weight solve, which
+is split into at most ``workers`` column ranges that run in order.
 
 The network state itself lives in doubles.  Fixed-point arithmetic, when
 selected, applies to the least-squares solves: each solve's inputs are
@@ -284,29 +284,28 @@ class SolveEngine:
     result, saturation count and stream position are those of a standalone
     one-column solve.
 
-    A stochastic solve with id ``job`` draws from one stream for its
-    quantize hop, ``make_stream(seed, 2, job)``, and one per column ``j``,
-    the stream of ``make_stream(seed, 3, job, j)``.  The column streams are
-    not built: the engine keeps a pool of generators and restarts them
-    under those streams' keys (``rekey``).  A solve derives all its column
-    keys in one ``stream_keys`` pass, and pooled generator ``j`` serves
-    column ``j`` of every solve.
+    A stochastic solve with the caller's job id ``job`` draws from one
+    stream for its quantize hop, ``make_stream(seed, 2, job)``, and one per
+    column ``j``, that of ``make_stream(seed, 3, job, j)``.  These are not
+    built: the engine keeps a pool of generators and restarts them under
+    those streams' keys (``rekey``).  A solve derives all its column keys in
+    one ``stream_keys`` pass, and pooled generator ``j`` serves column ``j``
+    of every solve.
     """
 
     def __init__(self, cfg: NetworkConfig) -> None:
         self.cfg = cfg
         self.fmt = cfg.fixed_format()
         self.mode = cfg.rounding
-        self._job_counter = 0
         self.saturation = SaturationStats()
         # the column pool: every generator is re-keyed before each use, so
         # how it was first seeded never shows
         self._column_streams: list[np.random.Generator] = []
 
-    def prepare(self, a: np.ndarray, b: np.ndarray, chunks: int = 1):
-        """Split one solve of ``a X ~= b`` (all columns) into at most
+    def prepare(self, a: np.ndarray, b: np.ndarray, job_id: int, chunks: int = 1):
+        """Split solve ``job_id`` of ``a X ~= b`` (all columns) into at most
         ``chunks`` jobs over contiguous, non-empty column ranges; the default
-        is one job.
+        is one job.  ``job_id`` keys the solve's random streams.
 
         Returns (tasks, collect, finish, prep_seconds): each task is a
         zero-argument callable that solves one range and returns its
@@ -318,8 +317,6 @@ class SolveEngine:
         depend on it.
         """
         prep_start = time.perf_counter()
-        self._job_counter += 1
-        job_id = self._job_counter
         iters = self.cfg.lsmr_iterations
         p = b.shape[1]
 
@@ -381,13 +378,13 @@ class SolveEngine:
 
 
 def weight_update(
-    z_l: np.ndarray, x_prev: np.ndarray, engine: SolveEngine, chunks: int = 1
+    z_l: np.ndarray, x_prev: np.ndarray, engine: SolveEngine, job_id: int, chunks: int = 1
 ) -> tuple[np.ndarray, float]:
-    """Least-squares weights: solve x_prev^T W^T ~= z_l^T column by column."""
+    """Least-squares weights: solve x_prev^T W^T ~= z_l^T as job ``job_id``."""
     t0 = time.perf_counter()
     a, b = np.ascontiguousarray(x_prev.T), np.ascontiguousarray(z_l.T)
     prep = time.perf_counter() - t0
-    solution, seconds = engine.run_wave(engine.prepare(a, b, chunks))
+    solution, seconds = engine.run_wave(engine.prepare(a, b, job_id, chunks))
     return np.ascontiguousarray(solution.T), prep + seconds
 
 
@@ -398,13 +395,14 @@ def activation_update(
     beta_next: float,
     gamma_l: float,
     engine: SolveEngine,
+    job_id: int,
 ) -> tuple[np.ndarray, float]:
-    """Solve (gamma I + beta W^T W) x = gamma relu(z) + beta W^T z_next."""
+    """Solve (gamma I + beta W^T W) x = gamma relu(z) + beta W^T z_next, job ``job_id``."""
     t0 = time.perf_counter()
     part1 = gamma_l * np.eye(w_next.shape[1]) + beta_next * (w_next.T @ w_next)
     part2 = gamma_l * relu(z_l) + beta_next * (w_next.T @ z_next)
     prep = time.perf_counter() - t0
-    solution, seconds = engine.run_wave(engine.prepare(part1, part2))
+    solution, seconds = engine.run_wave(engine.prepare(part1, part2, job_id))
     return solution, prep + seconds
 
 
@@ -431,11 +429,14 @@ def train(
 ) -> tuple[NetworkState, TrainReport]:
     """Run the full training loop and measure it.
 
-    Every sweep walks the hidden layers, solving each layer's weights and
-    then its activations (neither solve reads what the other writes) and
-    applying the elementwise pre-activation update; the output layer gets
-    its weight solve, the closed-form output update and the multiplier step.
-    Per-procedure times accumulate into the report.
+    A sweep is two waves of mutually independent solves, then the closed
+    forms.  Wave A solves every hidden activation: activation ``l`` reads
+    ``W[l+1]``, ``z[l+1]`` and ``z[l]``, which only a later step writes.
+    Wave B solves every layer's weights: weight ``l`` reads ``z[l]`` and its
+    input from wave A, and writes only ``W[l]``.  In sweep ``k`` of ``L``
+    weight layers, weight ``l`` is job ``(2L-1)k + 2l + 1`` and activation
+    ``l`` job ``(2L-1)k + 2l + 2``, so the order within a wave changes no
+    bit.  Per-procedure times accumulate into the report.
     """
     x0 = train_set.features
     y = one_hot(train_set.labels, train_set.class_count)
@@ -456,32 +457,31 @@ def train(
     with _diverge_on_fp_error(cfg.arithmetic):
         state = init_network(cfg, x0, rng)
         wall_start = time.perf_counter()
-        for _ in range(cfg.iterations):
+        for k in range(cfg.iterations):
             timings = IterationTimings()
             sat_before = engine.saturation.events
+            jobs = (2 * n_layers - 1) * k
             for l in range(n_layers - 1):
-                x_prev = x0 if l == 0 else state.x[l - 1]
-                state.weights[l], secs = weight_update(state.z[l], x_prev, engine)
-                timings.weight += secs
                 state.x[l], secs = activation_update(
                     state.weights[l + 1], state.z[l + 1], state.z[l],
-                    betas[l + 1], gammas[l], engine,
+                    betas[l + 1], gammas[l], engine, jobs + 2 * l + 2,
                 )
                 timings.activation += secs
 
-                t0 = time.perf_counter()
-                state.z[l] = z_update_hidden(
-                    state.x[l], state.weights[l] @ x_prev, gammas[l], betas[l]
+            inputs = [x0, *state.x]
+            for l in range(n_layers):
+                chunks = cfg.workers if l == n_layers - 1 else 1
+                state.weights[l], secs = weight_update(
+                    state.z[l], inputs[l], engine, jobs + 2 * l + 1, chunks
                 )
-                timings.output += time.perf_counter() - t0
-
-            # output layer: weight solve, closed-form z, multiplier ascent
-            x_prev = state.x[-1]
-            state.weights[-1], secs = weight_update(state.z[-1], x_prev, engine, cfg.workers)
-            timings.weight += secs
+                timings.weight += secs
 
             t0 = time.perf_counter()
-            b_out = state.weights[-1] @ x_prev
+            for l in range(n_layers - 1):
+                state.z[l] = z_update_hidden(
+                    state.x[l], state.weights[l] @ inputs[l], gammas[l], betas[l]
+                )
+            b_out = state.weights[-1] @ inputs[-1]
             state.z[-1] = z_update_output(y, b_out, state.lam, betas[-1])
             timings.output += time.perf_counter() - t0
 

@@ -117,7 +117,7 @@ def load_csv(path: str, label_column: int = -1, has_header: bool = False) -> Dat
 
 def iris_path() -> str:
     """Location of the bundled 150-sample iris CSV."""
-    return str(resources.files("admmlsmr").joinpath("datasets/iris.csv"))
+    return str(resources.files(__package__).joinpath("datasets/iris.csv"))
 
 
 def standardize(

@@ -246,13 +246,13 @@ class TestWeightUpdate:
         x_prev = rng.standard_normal((3, 40))  # full row rank
         z = w0 @ x_prev
         engine = make_engine()
-        w, _ = weight_update(z, x_prev, engine)
+        w, _ = weight_update(z, x_prev, engine, 1)
         assert np.abs(w - w0).max() < 1e-6
 
     def test_zero_targets_give_zero_weights(self):
         rng = np.random.default_rng(11)
         engine = make_engine()
-        w, _ = weight_update(np.zeros((4, 20)), rng.standard_normal((3, 20)), engine)
+        w, _ = weight_update(np.zeros((4, 20)), rng.standard_normal((3, 20)), engine, 1)
         assert not w.any()
 
     def test_square_invertible_case(self):
@@ -261,7 +261,7 @@ class TestWeightUpdate:
         w0 = rng.uniform(-1, 1, (4, 6))
         z = w0 @ x_prev
         engine = make_engine()
-        w, _ = weight_update(z, x_prev, engine)
+        w, _ = weight_update(z, x_prev, engine, 1)
         want = z @ np.linalg.inv(x_prev)
         assert np.abs(w - want).max() < 1e-6
 
@@ -272,7 +272,7 @@ class TestActivationUpdate:
         z_l = rng.standard_normal((6, 15))
         engine = make_engine()
         x, _ = activation_update(
-            np.zeros((4, 6)), np.zeros((4, 15)), z_l, 1.0, 2.0, engine
+            np.zeros((4, 6)), np.zeros((4, 15)), z_l, 1.0, 2.0, engine, 1
         )
         assert np.abs(x - np.maximum(z_l, 0.0)).max() < 1e-9
 
@@ -282,7 +282,7 @@ class TestActivationUpdate:
         z_next = rng.standard_normal((5, 10))
         z_l = rng.standard_normal((6, 10))
         engine = make_engine()
-        x, _ = activation_update(w_next, z_next, z_l, 1.0, 1e6, engine)
+        x, _ = activation_update(w_next, z_next, z_l, 1.0, 1e6, engine, 1)
         assert np.abs(x - np.maximum(z_l, 0.0)).max() < 1e-3
 
     def test_matches_dense_solve(self):
@@ -292,7 +292,7 @@ class TestActivationUpdate:
         z_l = rng.standard_normal((6, 12))
         beta, gamma = 0.7, 1.3
         engine = make_engine()
-        x, _ = activation_update(w_next, z_next, z_l, beta, gamma, engine)
+        x, _ = activation_update(w_next, z_next, z_l, beta, gamma, engine, 1)
         part1 = gamma * np.eye(6) + beta * w_next.T @ w_next
         part2 = gamma * np.maximum(z_l, 0) + beta * w_next.T @ z_next
         assert np.abs(x - np.linalg.solve(part1, part2)).max() < 1e-6
@@ -313,12 +313,11 @@ class TestStreamPool:
         cases = [((30, 4), 8, 1), ((8, 8), 120, 1), ((30, 8), 3, 1)]
         cases += [((30, 8), 3, workers) for workers in (1, 2, 4)]
         saturated = 0
-        for (m, n), p, chunks in cases:
+        for job_id, ((m, n), p, chunks) in enumerate(cases, 1):
             a = rng.uniform(-1, 1, (m, n)) * 40.0
             b = rng.uniform(-1, 1, (m, p)) * 40.0
             before = engine.saturation.events
-            got, _ = engine.run_wave(engine.prepare(a, b, chunks))
-            job_id = engine._job_counter
+            got, _ = engine.run_wave(engine.prepare(a, b, job_id, chunks))
 
             stats = SaturationStats()
             q_rng = make_stream(seed, 2, job_id)
@@ -553,6 +552,40 @@ class TestTrain:
         # each; the output weight solve runs as min(workers, 3) column ranges
         assert len(threads) == 2 * (4 + min(workers, 3))
         assert set(threads) == {threading.get_ident()}
+
+    def test_sweep_is_two_waves_of_independent_solves(self):
+        # One sweep rebuilt by hand from the job-id rule, with each wave's
+        # solves in reverse layer order: no bit, stream or count may move.
+        ds = tiny_dataset(n=30)
+        cfg = NetworkConfig(
+            [4, 6, 5, 4, 3], iterations=1, arithmetic="fixed32",
+            rounding=RoundingMode.STOCHASTIC, beta=0.5, gamma=100.0, seed=1, workers=2,
+        )
+        trained, report = train(cfg, ds)
+
+        state = init_network(cfg, ds.features, make_stream(cfg.seed, 1))
+        engine = SolveEngine(cfg)
+        betas, gammas, n = cfg.betas(), cfg.gammas(), cfg.layer_count
+        for l in reversed(range(n - 1)):
+            state.x[l], _ = activation_update(
+                state.weights[l + 1], state.z[l + 1], state.z[l],
+                betas[l + 1], gammas[l], engine, 2 * l + 2,
+            )
+        inputs = [ds.features, *state.x]
+        for l in reversed(range(n)):
+            chunks = cfg.workers if l == n - 1 else 1
+            state.weights[l], _ = weight_update(state.z[l], inputs[l], engine, 2 * l + 1, chunks)
+        for l in range(n - 1):
+            state.z[l] = z_update_hidden(
+                state.x[l], state.weights[l] @ inputs[l], gammas[l], betas[l]
+            )
+        b_out = state.weights[-1] @ inputs[-1]
+        state.z[-1] = z_update_output(one_hot(ds.labels, 3), b_out, state.lam, betas[-1])
+        state.lam = lagrangian_update(state.lam, betas[-1], state.z[-1], b_out)
+
+        assert state_bytes(state) == state_bytes(trained)
+        assert report.saturation_per_iteration == [engine.saturation.events]
+        assert engine.saturation.events > 0
 
     def test_output_width_must_match_classes(self):
         ds = tiny_dataset()

@@ -1,9 +1,15 @@
 """Loader, preprocessing and split tests."""
 from __future__ import annotations
 
+import importlib
+import shutil
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import admmlsmr
 from admmlsmr.data import (
     DataError,
     Dataset,
@@ -62,6 +68,23 @@ def test_iris_shape(iris):
     assert iris.n_features == 4
     assert iris.class_count == 3
     assert np.bincount(iris.labels).tolist() == [50, 50, 50]
+
+
+def test_iris_path_follows_the_importing_package(tmp_path, monkeypatch):
+    # a second tree imported under another name (an in-process A/B of two
+    # versions) must find its own CSV, not the one installed as admmlsmr
+    name = "admmlsmr_copy"
+    copy = tmp_path / name
+    shutil.copytree(
+        Path(admmlsmr.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        path = Path(importlib.import_module(f"{name}.data").iris_path())
+    finally:
+        for mod in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+            del sys.modules[mod]
+    assert path.is_file() and path.is_relative_to(copy)
 
 
 class TestLoadErrors:
