@@ -112,11 +112,9 @@ def _load(args) -> tuple[Dataset, dict]:
         info = {"synthetic": {"features": d, "samples": n, "classes": k}}
     if args.subsample is not None:
         ds = datamod.subsample(ds, args.subsample, args.seed)
-    if args.bias_feature:
-        ds = datamod.add_bias_feature(ds)
     info.update(
         samples=ds.n_samples,
-        features=ds.n_features,
+        features=ds.n_features + args.bias_feature,  # _run_once appends the bias row
         classes=ds.class_count,
         subsample=args.subsample,
         test_fraction=args.test_frac,
@@ -144,6 +142,9 @@ def _run_once(args, seed: int, arithmetic: str, rounding: str,
               ds: Dataset) -> TrainReport:
     sp = datamod.split(ds, args.test_frac, seed)
     tr, te, _ = datamod.standardize(sp.train, sp.test)
+    if args.bias_feature:
+        # after standardizing, which would map the constant row to zeros
+        tr, te = datamod.add_bias_feature(tr), datamod.add_bias_feature(te)
     cfg = _config(args, seed=seed, arithmetic=arithmetic, rounding=rounding)
     _, report = train(cfg, tr, te)
     return report

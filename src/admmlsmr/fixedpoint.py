@@ -545,7 +545,11 @@ def trunc_div_array(num: np.ndarray, den: np.ndarray | int) -> np.ndarray:
 # -- square roots ------------------------------------------------------------
 
 def float_sqrt_array(
-    t: np.ndarray, fmt: FixedFormat, stats: "SaturationStats | None" = None
+    t: np.ndarray,
+    fmt: FixedFormat,
+    stats: "SaturationStats | None" = None,
+    *,
+    checked: bool = True,
 ) -> np.ndarray:
     """Square roots of int64 wide sums of squares (2*FL fraction bits, >= 0
     unchecked) via double arithmetic.
@@ -557,10 +561,13 @@ def float_sqrt_array(
     correctly rounded root; and since scaling by 2**-FL is exact, checking
     ``sqrt(t)`` against the upper bound's rep is exact too.  A root is never
     negative or NaN, so only that bound can be reached.  This is the default
-    norm path.
+    norm path.  ``checked=False`` skips the saturation step, for a caller
+    that has proved every root below the upper bound.
     """
     root = np.sqrt(t, out=np.empty(t.shape))
-    return _round_root(_saturate(root, fmt.lbound, fmt.ubound, stats, root))
+    if checked:
+        root = _saturate(root, fmt.lbound, fmt.ubound, stats, root)
+    return _round_root(root)
 
 
 def _round_root(root: np.ndarray) -> np.ndarray:
@@ -598,16 +605,22 @@ def _isqrt_array(t: np.ndarray) -> np.ndarray:
 
 
 def integer_sqrt_array(
-    t: np.ndarray, fmt: FixedFormat, stats: "SaturationStats | None" = None
+    t: np.ndarray,
+    fmt: FixedFormat,
+    stats: "SaturationStats | None" = None,
+    *,
+    checked: bool = True,
 ) -> np.ndarray:
     """Floor square roots of int64 wide sums of squares (2*FL fraction bits,
     >= 0 unchecked).
 
     Because sqrt(v * 2**-2FL) = sqrt(v) * 2**-FL, the integer square root of
-    a wide rep is directly the FL-fraction result; roots beyond the upper
-    bound saturate.
+    a wide rep is directly the FL-fraction result; roots at or beyond the
+    upper bound saturate.  ``checked=False`` skips the saturation step, as
+    in ``float_sqrt_array``.
     """
-    return cast_wide_simple_array(_isqrt_array(t), fmt, stats)
+    root = _isqrt_array(t)
+    return cast_wide_simple_array(root, fmt, stats) if checked else root
 
 
 class SaturationStats:

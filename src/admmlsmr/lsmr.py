@@ -7,11 +7,13 @@ arithmetic, and keeps every column independent of the others, so any split
 of the columns into blocks gives bit-identical results, saturation counts
 and stream positions.  Each ops object also supplies the recurrence's two
 Givens rotations per iteration (``rotate``), its unit normalisations
-(``unit``) and its two residual steps (``step``).  The fixed ones run the
-word operations of the real ones in the same order, and skip only the
-clamps and guards that their ranges make dead, so they compute the bits the
-generic word operations would.  Fixed operands are checked once, where they
-enter: a ``FixedMatrix`` holds in-range reps only.
+(``unit``), its two residual steps (``step``) and its three iterate updates
+(``update``).  The fixed ones run the word operations of the real ones in
+the same order, and skip only the clamps and guards that their ranges make
+dead, so they compute the bits, saturation counts and draws the generic
+word operations would; the ranges are bounds that flow through the
+recurrence (see *arithmetics*).  Fixed operands are checked once, where
+they enter: a ``FixedMatrix`` holds in-range reps only.
 """
 from __future__ import annotations
 
@@ -40,6 +42,13 @@ SQRT_PATHS = ("float", "integer")
 
 
 # -- arithmetics ---------------------------------------------------------------
+#
+# A bound is an upper bound on the magnitude of every cell of an operand,
+# over the lanes still in the block (a lane leaving lowers no bound).  Ops
+# methods take the bounds of their operands and return those of their
+# results, so the bounds flow through one recurrence: the fixed arithmetic's
+# are Python ints, or None where no bound is known; the real arithmetic
+# ignores every bound and returns None.
 
 class _RealOps:
     """Float64 arithmetic, column by column.
@@ -52,16 +61,18 @@ class _RealOps:
     zero = 0.0
     one = 1.0
     minus_one = -1.0
+    zero_bound = None
     col_rngs = None
 
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def mul(self, a: np.ndarray, b: np.ndarray, b_bounds: None = None) -> np.ndarray:
         return a * b
 
     def div(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
         """``num / den``, with a zero denominator read as one."""
         return num / np.where(den == 0, self.one, den)
 
-    unit = div
+    def unit(self, vec: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, None]:
+        return self.div(vec, norm), None
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a + b
@@ -69,27 +80,36 @@ class _RealOps:
     def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a - b
 
-    def neg(self, a: np.ndarray) -> np.ndarray:
+    def neg(self, a: np.ndarray, bound: None = None) -> np.ndarray:
         return -a
 
-    def matmul(self, a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def matmul(self, a: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, None]:
         rows = np.ascontiguousarray(cols.T, dtype=np.float64)
-        return np.matmul(a, rows[..., None])[..., 0].T
+        return np.matmul(a, rows[..., None])[..., 0].T, None
 
     def step(
-        self, a: np.ndarray, v: np.ndarray, u: np.ndarray, alpha: np.ndarray
+        self, a: np.ndarray, v: np.ndarray, u: np.ndarray, alpha: np.ndarray, alpha_bound: None
     ) -> tuple[np.ndarray, None]:
-        """The residual ``a v - u alpha`` of one bidiagonalization step, and
-        no bound on it."""
-        return self.sub(self.matmul(a, v), self.mul(u, alpha)), None
+        """The residual ``a v - u alpha`` of one bidiagonalization step."""
+        return self.sub(self.matmul(a, v)[0], self.mul(u, alpha)), None
 
-    def norm_cols(self, cols: np.ndarray, bound: None = None) -> np.ndarray:
+    def update(
+        self, y: np.ndarray, x: np.ndarray, coef: np.ndarray, bounds: tuple, plus: bool = False
+    ) -> tuple[np.ndarray, None]:
+        """``y + x coef`` if ``plus``, else ``y - x coef``."""
+        prod = self.mul(x, coef)
+        return (self.add(y, prod) if plus else self.sub(y, prod)), None
+
+    def norm_cols(self, cols: np.ndarray, bound: None = None) -> tuple[np.ndarray, None]:
         rows = np.ascontiguousarray(cols.T, dtype=np.float64)
-        return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+        return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]), None
+
+    def bounds(self, rows: np.ndarray) -> list[None]:
+        return [None] * len(rows)
 
     def rotate(
-        self, a: np.ndarray, b: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self, a: np.ndarray, b: np.ndarray, a_bound: None = None, b_bound: None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, None]:
         """Stable Givens rotations (c, s, r) zeroing ``b``, one per lane.
 
         Divides by the larger-magnitude argument so the ratio stays in
@@ -104,17 +124,29 @@ class _RealOps:
         lead = self.div(sign, np.sqrt(1.0 + tau * tau))
         other = self.mul(lead, tau)
         r = self.div(big, lead)
-        return np.where(take_b, other, lead), np.where(take_b, lead, other), r
+        return np.where(take_b, other, lead), np.where(take_b, lead, other), r, None
 
 
 class _FixedOps:
     """Column-vectorised fixed arithmetic shared by all block solves.
 
     Every helper applies one word operation cellwise, so a block of columns
-    computes bit-identical results to solving each column alone.
+    computes bit-identical results to solving each column alone.  A
+    narrowing is checked (``_saturate``) unless a bound proves every cell
+    strictly inside the format's bounds; a cell exactly at a bound counts as
+    a saturation, so every skip needs its bound strictly below.  An
+    unchecked narrowing gives the bits, the (zero) count and the draws of
+    the checked one.  Each skip's proof is in its method's docstring, and
+    most rest on one rule for casts: wide cells ``|t| <= T one``, for an
+    integer ``T < ubound``, lie strictly inside the shifted bounds
+    (``lbound < -ubound``), and their cast lies in ``[-T, T]`` in every
+    mode, since ``T one`` is a multiple of ``one`` and every bias lies in
+    ``[0, one)``.  A checked cast keeps that bound, since its clamp only
+    moves a cell toward zero.
     """
 
     zero = np.int64(0)
+    zero_bound = 0
 
     def __init__(
         self,
@@ -141,8 +173,34 @@ class _FixedOps:
             checked=checked,
         )
 
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.cast(a * b)
+    def _narrow(self, t: np.ndarray, bound: int | None) -> tuple[np.ndarray, int]:
+        """Word reps of the sums ``t`` (FL fraction bits), and a bound on
+        them.
+
+        ``bound``, if given, bounds every ``|t|``.  Below ``ubound`` every
+        cell is a rep strictly inside the format's bounds, which
+        ``cast_wide_simple_array`` would return unchanged, so it is not
+        called and ``bound`` is returned.  Otherwise the cells are narrowed
+        (checked), and the bound is re-read as their largest magnitude.
+        """
+        if bound is not None and bound < self.fmt.ubound:
+            return t, bound
+        t = cast_wide_simple_array(t, self.fmt, self.stats)
+        return t, int(np.abs(t).max(initial=0))
+
+    def mul(
+        self, a: np.ndarray, b: np.ndarray, b_bounds: Sequence[int] | None = None
+    ) -> np.ndarray:
+        """The rounded products ``a * b``.
+
+        ``b_bounds``, if given, is for factors ``|a| <= one``: bounds of the
+        rows of ``b`` that together cover every ``|b|``, the largest being
+        ``M``.  Then ``|a b| <= M one``, so by the cast rule the narrowing is
+        checked only if ``M >= ubound``, and each product keeps the bound of
+        its factor in ``b``.
+        """
+        checked = b_bounds is None or max(b_bounds) >= self.fmt.ubound
+        return self.cast(a * b, checked=checked)
 
     def div(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
         """Truncating ``num / den``, with a zero denominator read as one."""
@@ -150,9 +208,10 @@ class _FixedOps:
         q = trunc_div_array(num << self._fl, den)
         return cast_wide_simple_array(q, self.fmt, self.stats)
 
-    def unit(self, vec: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    def unit(self, vec: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, int]:
         """``div(vec, norm)`` for a column ``norm`` of ``vec`` itself, which
-        skips the narrowing check: no quotient can reach a bound.
+        skips the narrowing check: no quotient can reach a bound; and the
+        bound ``one`` of every quotient.
 
         ``norm`` is the rounded or clamped root of a sum of squares that is
         at least ``vec_i**2`` (the sum only grows, and a saturated one sits
@@ -167,7 +226,8 @@ class _FixedOps:
         bit beside the sign.  A zero norm means a zero vector, whose
         quotient by one is zero.
         """
-        return trunc_div_array(vec << self._fl, np.where(norm == 0, self.one, norm))
+        quotient = trunc_div_array(vec << self._fl, np.where(norm == 0, self.one, norm))
+        return quotient, self.fmt.one
 
     def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return cast_wide_simple_array(a - b, self.fmt, self.stats)
@@ -175,96 +235,136 @@ class _FixedOps:
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return cast_wide_simple_array(a + b, self.fmt, self.stats)
 
-    def neg(self, a: np.ndarray) -> np.ndarray:
-        return cast_wide_simple_array(-a, self.fmt, self.stats)
+    def neg(self, a: np.ndarray, bound: int | None = None) -> np.ndarray:
+        """``-a``, narrowed as in ``_narrow``; ``bound``, if given, bounds
+        ``|a|``.
 
-    def matmul(self, a: FixedMatrix, units: np.ndarray) -> np.ndarray:
-        """``a @ units`` for unit columns ``units``: see ``_product``."""
-        return self._product(a, units)[0]
+        The solver negates only ``zetabar``, and passes the lane maximum of
+        its first value for the whole solve: ``zetabar`` starts as ``alpha
+        beta`` and each iteration sets it to ``-(sbar zetabar)``, for a
+        rotation's ``|sbar| <= one``, so by the cast rule its magnitude
+        never grows.
+        """
+        return self._narrow(-a, bound)[0]
 
-    def _product(self, a: FixedMatrix, units: np.ndarray) -> tuple[np.ndarray, int]:
+    def matmul(self, a: FixedMatrix, units: np.ndarray) -> tuple[np.ndarray, int]:
         """The narrowed ``a @ units`` for columns with every ``|cell| <= one``
         (the solver multiplies only its unit vectors ``u`` and ``v``), and
         ``B = n max|a|``, a bound on every narrowed cell.
 
         Each wide cell sums ``n`` products of magnitude at most ``max|a|
         one``, so ``|t| <= B one``; a saturating wide sum keeps this, since a
-        clamp only moves a sum toward zero.  When ``B < ubound`` no cell
-        reaches ``ubound << FL`` or ``lbound << FL``, below ``-ubound << FL``,
-        so the cast skips its check.  In every mode ``|cast(t)| <= B``:
-        ``B one`` is a multiple of ``one`` and every bias lies in
-        ``[0, one)``, so ``(t + bias) >> FL`` stays in ``[-B, B]``, and a
-        checked cast's clamp only moves ``t`` toward zero.  ``one`` bounds
-        ``max|units|`` for the GEMM choice of ``accumulate_product_wide``.
+        clamp only moves a sum toward zero.  So by the cast rule the cast is
+        checked only if ``B >= ubound``, and its cells are bounded by ``B``.
+        ``one`` bounds ``max|units|`` for the GEMM choice of
+        ``accumulate_product_wide``.
         """
         bound = a.shape[1] * a.max_abs
         wide = accumulate_product_wide(a, units, self.stats, b_max=self.fmt.one)
         return self.cast(wide, checked=bound >= self.fmt.ubound), bound
 
     def step(
-        self, a: FixedMatrix, v: np.ndarray, u: np.ndarray, alpha: np.ndarray
-    ) -> tuple[np.ndarray, int | None]:
+        self, a: FixedMatrix, v: np.ndarray, u: np.ndarray, alpha: np.ndarray, alpha_bound: int
+    ) -> tuple[np.ndarray, int]:
         """The residual ``sub(matmul(a, v), mul(u, alpha))`` of one
         bidiagonalization step, for unit columns ``v`` and ``u`` and their
-        norms ``alpha``, in that draw order; and a bound ``S`` on every
-        cell, or None if the difference had to be checked.
+        norms ``alpha``, in that draw order, and a bound ``S`` on every
+        cell.  ``alpha_bound`` bounds ``alpha``; the solver passes the lane
+        maximum of the norms.
 
-        - A norm is the clamped root of a sum of squares, so ``0 <= alpha_j
-          <= ubound`` and ``|u_ij alpha_j| <= alpha_j one``.  That reaches a
-          shifted bound only if ``max(alpha) >= ubound`` (a cell at exactly
-          ``ubound << FL`` counts), so only then is the product checked.  As
-          in ``_product``, ``|cast(u alpha)| <= alpha_j``.
-        - So ``|cast(a v) - cast(u alpha)| <= B + max(alpha) = S``.  When
-          ``S < ubound`` every difference is a rep (``lbound < -ubound``), so
-          ``cast_wide_simple_array`` would return it unchanged and is not
-          called, and ``S`` is returned for the next norm.
+        - ``|u_ij alpha_j| <= alpha_bound one``, so by the cast rule the
+          product is checked only if ``alpha_bound >= ubound``, and its
+          cells are bounded by ``alpha_bound``.
+        - So ``|cast(a v) - cast(u alpha)| <= B + alpha_bound = S``, which
+          ``_narrow`` takes.
         """
-        av, bound = self._product(a, v)
-        alpha_max = int(alpha.max())
-        ualpha = self.cast(u * alpha, checked=alpha_max >= self.fmt.ubound)
-        bound += alpha_max
-        if bound < self.fmt.ubound:
-            return av - ualpha, bound
-        return self.sub(av, ualpha), None
+        av, bound = self.matmul(a, v)
+        ualpha = self.cast(u * alpha, checked=alpha_bound >= self.fmt.ubound)
+        return self._narrow(av - ualpha, bound + alpha_bound)
 
-    def norm_cols(self, reps: np.ndarray, bound: int | None = None) -> np.ndarray:
-        """Column norms of ``reps``; ``bound``, if given, bounds every
-        ``|rep|`` (``sum_squares_wide``)."""
-        return self._sqrt_wide(sum_squares_wide(reps, self.fmt, self.stats, bound=bound))
+    def update(
+        self,
+        y: np.ndarray,
+        x: np.ndarray,
+        coef: np.ndarray,
+        bounds: tuple[int, int, int],
+        plus: bool = False,
+    ) -> tuple[np.ndarray, int]:
+        """``add(y, mul(x, coef))`` if ``plus``, else ``sub(y, mul(x,
+        coef))``: one of the solver's ``hbar``, ``x`` and ``h`` updates, and
+        a bound on every cell.  ``bounds`` holds the bounds ``Y``, ``X`` and
+        ``Q`` of ``y``, ``x`` and ``coef``.
 
-    def _sqrt_wide(self, wide: np.ndarray) -> np.ndarray:
-        if self.sqrt_path == "float":
-            return float_sqrt_array(wide, self.fmt, self.stats)
-        return integer_sqrt_array(wide, self.fmt, self.stats)
+        - ``|x coef| <= X Q <= T one`` for ``T = ceil(X Q / one)``, so by the
+          cast rule the product is checked only if ``T >= ubound``, and its
+          cells are bounded by ``T``.
+        - So ``|y +- cast(x coef)| <= Y + T``, which ``_narrow`` takes.
+        """
+        y_bound, x_bound, coef_bound = bounds
+        prod_bound = -(-x_bound * coef_bound // self.fmt.one)
+        prod = self.cast(x * coef, checked=prod_bound >= self.fmt.ubound)
+        return self._narrow(y + prod if plus else y - prod, y_bound + prod_bound)
+
+    def norm_cols(
+        self, reps: np.ndarray, bound: int | None = None
+    ) -> tuple[np.ndarray, int]:
+        """Column norms of ``reps``, and their largest, which bounds them.
+        ``bound``, if given, bounds every ``|rep|``.
+
+        - ``sum_squares_wide`` skips finding its largest square when ``m
+          bound**2`` fits the wide container.
+        - The root is checked only if ``m bound**2 > (ubound - 1)**2``.
+          Otherwise every sum of squares is at most ``(ubound - 1)**2``.  Its
+          integer root is at most ``ubound - 1``.  Its float root is at most
+          ``(ubound - 1) (1 + 2**-52)``, below ``ubound``: converting the sum
+          and taking the root are monotone and each costs a relative 2**-53
+          at most.  A root is never negative, so no root reaches a bound.
+        """
+        wide = sum_squares_wide(reps, self.fmt, self.stats, bound=bound)
+        ubound = self.fmt.ubound
+        checked = bound is None or reps.shape[0] * bound * bound > (ubound - 1) ** 2
+        sqrt = float_sqrt_array if self.sqrt_path == "float" else integer_sqrt_array
+        norms = sqrt(wide, self.fmt, self.stats, checked=checked)
+        return norms, int(norms.max(initial=0))
+
+    def bounds(self, rows: np.ndarray) -> list[int]:
+        """The bounds of the rows of a ``(k, p)`` per-lane array: each row's
+        largest magnitude, from one reduce."""
+        return np.abs(rows).max(axis=1, initial=0).tolist()
 
     def rotate(
-        self, a: np.ndarray, b: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stable Givens rotations (c, s, r) zeroing ``b``, one per lane: the
-        word operations of ``_RealOps.rotate`` in its order (``tau = small /
-        big``, ``h = sqrt(1 + tau**2)``, ``lead = sign / h``, ``other = lead *
-        tau``, ``r = big / lead``) with the rounding of ``div``,
-        ``_sqrt_wide`` and ``mul``.  It skips only the guards and clamps
-        that these ranges make dead, so every bit, saturation count and draw
-        equals the generic operations'.  ``other`` keeps its
-        ``cast_wide_array`` call, through which it draws, but unchecked:
+        self, a: np.ndarray, b: np.ndarray, a_bound: int | None = None, b_bound: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Stable Givens rotations (c, s, r) zeroing ``b``, one per lane, and
+        a bound on ``r``: the word operations of ``_RealOps.rotate`` in its
+        order (``tau = small / big``, ``h = sqrt(1 + tau**2)``, ``lead =
+        sign / h``, ``other = lead * tau``, ``r = big / lead``) with the
+        rounding of ``div``, the norms' roots and ``mul``.  It skips only the
+        guards and clamps that these ranges make dead, so every bit,
+        saturation count and draw equals the generic operations'.  ``other``
+        keeps its ``cast_wide_array`` call, through which it draws, but
+        unchecked:
 
         - ``|small| <= |big|``, so ``|tau| <= one``: its narrowing cannot
           saturate.  Its zero guard is live: ``big`` is 0 on a (0, 0) lane.
         - ``one**2 <= one**2 + tau**2 <= 2 one**2`` (held exactly with 2*FL
-          fraction bits), so ``one <= h <= sqrt(2) one``: the root is never
-          negative, NaN or saturated, since ``sqrt(2) one`` is below the
-          upper bound when the format has an integer bit beside the sign.
-          The float root rounds to nearest by ``_round_root``, as in
+          fraction bits), so ``one <= h <= sqrt(2) one + 1/2``: the root is
+          never negative, NaN or saturated, since ``sqrt(2) one`` is below
+          the upper bound when the format has an integer bit beside the
+          sign.  The float root rounds to nearest by ``_round_root``, as in
           ``float_sqrt_array``.
-        - ``h >= one``, so ``lead``'s divisor is never zero and
-          ``|lead| <= one`` cannot saturate; ``|lead|`` is about
-          ``one/sqrt(2)`` or more, so ``r``'s divisor is never zero either.
+        - ``h >= one``, so ``lead``'s divisor is never zero and ``|lead| <=
+          one`` cannot saturate.  ``h <= 2 one``, so ``|lead| >= one/2``
+          (``one/2`` is an integer, which truncation keeps), and ``r``'s
+          divisor is never zero either.
         - ``|lead tau| <= one << FL``, far inside the shifted bounds, so
           ``other``'s cast skips its check.
         - Every numerator is a rep shifted by FL, below 2**49, which meets
           ``trunc_div_array``'s precondition ``|num| < 2**53``.
-        - ``|r|`` reaches about ``sqrt(2) |big|``: its clamp and count stay.
+        - ``|r| <= |big| one / |lead| <= 2 |big|``.  With bounds on ``|a|``
+          and ``|b|`` whose largest is ``M``, ``r`` is bounded by ``2 M`` and
+          narrowed by ``_narrow``, so it is checked only if ``2 M >=
+          ubound``.  Without them ``r`` is always checked.
         - A (0, 0) lane gets ``tau = 0``, ``h = lead = one`` and
           ``other = r = 0``, the identity rotation, with no mask.
         """
@@ -280,8 +380,9 @@ class _FixedOps:
             h = _isqrt_array(wide)
         lead = trunc_div_array(np.where(big >= 0, self._one_wide, self._minus_one_wide), h)
         other = self.cast(lead * tau, checked=False)
-        r = cast_wide_simple_array(trunc_div_array(big << fl, lead), self.fmt, self.stats)
-        return np.where(take_b, other, lead), np.where(take_b, lead, other), r
+        bound = None if a_bound is None or b_bound is None else 2 * max(a_bound, b_bound)
+        r, bound = self._narrow(trunc_div_array(big << fl, lead), bound)
+        return np.where(take_b, other, lead), np.where(take_b, lead, other), r, bound
 
 
 Ops = _RealOps | _FixedOps
@@ -305,25 +406,28 @@ def _solve_block(
     next iteration, with its current iterate as its solution, and takes no
     further arithmetic, saturations or draws.  So a column's solution,
     saturation count and stream position never depend on its block.  A zero
-    input column yields a zero solution column.
+    input column yields a zero solution column.  Each ``*_bound`` bounds
+    its quantity on the lanes in the block (see *arithmetics*).
     """
     p = b.shape[1]
 
-    beta = ops.norm_cols(b)
-    u = ops.unit(b, beta)
-    w = ops.matmul(at, u)
-    alpha = ops.norm_cols(w)
-    v = ops.unit(w, alpha)
+    beta, _ = ops.norm_cols(b)
+    u, _ = ops.unit(b, beta)
+    w, bound = ops.matmul(at, u)
+    alpha, alpha_bound = ops.norm_cols(w, bound)
+    v, v_bound = ops.unit(w, alpha)
 
     zetabar = ops.mul(alpha, beta)
-    alphabar = alpha.copy()
+    (zetabar_bound,) = ops.bounds(zetabar[None])
+    alphabar, alphabar_bound = alpha.copy(), alpha_bound
     rho = np.full(p, ops.one)
     rhobar = np.full(p, ops.one)
     cbar = np.full(p, ops.one)
     sbar = np.full(p, ops.zero)
-    h = v.copy()
+    h, h_bound = v.copy(), v_bound
     hbar = np.zeros_like(v)
     x = np.zeros_like(v)
+    hbar_bound = x_bound = ops.zero_bound
     out = np.zeros_like(v)
     lanes = np.arange(p)
     # the lanes that go on at the top of the next iteration; None while
@@ -343,34 +447,37 @@ def _solve_block(
             active = None
         if not lanes.size:
             break
-        s_vec, bound = ops.step(a, v, u, alpha)
-        beta = ops.norm_cols(s_vec, bound)
+        s_vec, bound = ops.step(a, v, u, alpha, alpha_bound)
+        beta, beta_bound = ops.norm_cols(s_vec, bound)
         # A zero norm means the vector itself is all zeros, so the guarded
         # division below already yields the zero vector on breakdown lanes.
-        u = ops.unit(s_vec, beta)
-        t_vec, bound = ops.step(at, u, v, beta)
-        alpha = ops.norm_cols(t_vec, bound)
-        v = ops.unit(t_vec, alpha)
+        u, _ = ops.unit(s_vec, beta)
+        t_vec, bound = ops.step(at, u, v, beta, beta_bound)
+        alpha, alpha_bound = ops.norm_cols(t_vec, bound)
+        v, v_bound = ops.unit(t_vec, alpha)
 
         # Per-lane word operations that sit next to each other run as one
         # call over stacked rows, in the order they draw (neg draws nothing).
-        c, s, rho_new = ops.rotate(alphabar, beta)
+        # A rotation's c and s, and so cbar and sbar, are at most one in
+        # magnitude, so each product of one keeps its other factor's bound.
+        c, s, rho_new, rho_bound = ops.rotate(alphabar, beta, alphabar_bound, beta_bound)
         alphabar, theta, cbar_rho = ops.mul(
-            np.array((c, s, cbar)), np.array((alpha, alpha, rho_new))
+            np.array((c, s, cbar)), np.array((alpha, alpha, rho_new)), (alpha_bound, rho_bound)
         )
-        cbar, sbar_new, rhobar_new = ops.rotate(cbar_rho, theta)
+        alphabar_bound = alpha_bound
+        cbar, sbar_new, rhobar_new, _ = ops.rotate(cbar_rho, theta, rho_bound, alpha_bound)
         zeta, zetabar, den_prev, den_cur, sbar_rho = ops.mul(
             np.array((cbar, sbar_new, rho, rho_new, sbar)),
             np.array((zetabar, zetabar, rhobar, rhobar_new, rho_new)),
         )
-        zetabar = ops.neg(zetabar)
+        zetabar = ops.neg(zetabar, zetabar_bound)
 
         dens = np.array((den_prev, den_cur, rho_new))
-        coef_hbar, coef_x, coef_h = ops.div(
-            np.array((ops.mul(sbar_rho, rho_new), zeta, theta)), dens
-        )
-        hbar = ops.sub(h, ops.mul(hbar, coef_hbar))
-        x_new = ops.add(x, ops.mul(hbar, coef_x))
+        coefs = ops.div(np.array((ops.mul(sbar_rho, rho_new), zeta, theta)), dens)
+        (coef_hbar, coef_x, coef_h), (q_hbar, q_x, q_h) = coefs, ops.bounds(coefs)
+        hbar, hbar_bound = ops.update(h, hbar, coef_hbar, (h_bound, hbar_bound, q_hbar))
+        # x_bound bounds x_new, which every lane that goes on keeps
+        x_new, x_bound = ops.update(x, hbar, coef_x, (x_bound, hbar_bound, q_x), plus=True)
         if dens.all() and beta.all() and alpha.all():
             x = x_new
         else:
@@ -382,7 +489,7 @@ def _solve_block(
             commit = dens.all(axis=0)
             x = np.where(commit, x_new, x)
             active = commit & (beta != 0) & (alpha != 0)
-        h = ops.sub(v, ops.mul(h, coef_h))
+        h, h_bound = ops.update(v, h, coef_h, (v_bound, h_bound, q_h))
         rho, rhobar, sbar = rho_new, rhobar_new, sbar_new
     out[:, lanes] = x
     return out

@@ -414,7 +414,7 @@ class TestTrain:
         assert report.config["fixed_format"] == {"word_length": 32, "fraction_length": 18}
         assert np.isfinite(state.weights[0]).all()
 
-    @pytest.mark.parametrize("arithmetic, checks", [("fixed32", 765), ("fixed16", 818)])
+    @pytest.mark.parametrize("arithmetic, checks", [("fixed32", 180), ("fixed16", 303)])
     def test_narrowing_checks_per_training(self, monkeypatch, arithmetic, checks):
         # The full-array saturation checks (_saturate calls) of one small
         # training: an exact cost count that no machine speed moves.  It

@@ -8,10 +8,11 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from admmlsmr import cli
-from admmlsmr.admm import ARITHMETICS, TrainingDivergedError
+from admmlsmr.admm import ARITHMETICS, TrainingDivergedError, train
 from admmlsmr.cli import main
 from admmlsmr.data import iris_path
 from admmlsmr.fixedpoint import RoundingMode
@@ -100,6 +101,24 @@ class TestTrain:
         # the later --arch wins; feature count grew to 5
         assert code == 0
         assert json.loads(out)["dataset"]["features"] == 5
+
+    def test_bias_row_reaches_train_as_ones(self, capsys, monkeypatch):
+        # the row is appended after standardizing, which maps a constant
+        # feature to zero in both splits
+        seen = []
+
+        def spy(cfg, tr, te):
+            seen.append((tr.features, te.features))
+            return train(cfg, tr, te)
+
+        monkeypatch.setattr(cli, "train", spy)
+        code, out, _ = run_cli(capsys, *train_args("--bias-feature"), "--arch", "5,8,3")
+        assert code == 0
+        assert json.loads(out)["dataset"]["features"] == 5
+        (tr, te), = seen
+        assert tr.shape[0] == te.shape[0] == 5
+        assert (tr[-1] == 1.0).all() and (te[-1] == 1.0).all()
+        assert np.abs(tr[:-1].mean(axis=1)).max() < 1e-12
 
 
 class TestErrors:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from admmlsmr import fixedpoint
 from admmlsmr import lsmr as lsmr_module
 from admmlsmr.fixedpoint import (
     FIXED16,
@@ -45,7 +46,7 @@ EPS32 = FIXED32.epsilon
 def rotate(ops, a, b) -> np.ndarray:
     """One ``ops.rotate`` call over the lanes ``a`` and ``b``: a (3, p) array
     of each lane's (c, s, r)."""
-    return np.stack(ops.rotate(np.asarray(a), np.asarray(b)))
+    return np.stack(ops.rotate(np.asarray(a), np.asarray(b))[:3])
 
 
 def rotate_real(a: float, b: float) -> tuple[float, float, float]:
@@ -272,7 +273,7 @@ class TestFixedOps:
         stats = SaturationStats()
         ops = _FixedOps(FIXED32, RoundingMode.NEAREST, None, sqrt_path, stats)
         col = np.full((2, 1), FIXED32.ubound, dtype=np.int64)
-        assert ops.norm_cols(col).tolist() == [FIXED32.ubound]
+        assert ops.norm_cols(col)[0].tolist() == [FIXED32.ubound]
         assert stats.events == 1
 
 
@@ -283,12 +284,13 @@ class TestRangeProofs:
     the values, saturation count and stream position of the checked generic
     operations, at each bound the proof compares with and one below it.  A
     cell exactly at a bound counts as a saturation, so a skip at the bound
-    shows as a missing count.  (The unchecked ``other`` of a rotation is
-    covered by ``TestOracle.test_rotation``, whose lanes include
-    ``|tau| = one``.)"""
+    shows as a missing count; the carried-bound cases also count their
+    checks, so a skip that moves by one shows too.  (The unchecked ``other``
+    of a rotation is covered by ``TestOracle.test_rotation``, whose lanes
+    include ``|tau| = one``.)"""
 
     @staticmethod
-    def ops_pair(fmt, mode, p, draws):
+    def ops_pair(fmt, mode, p, draws, sqrt_path="float"):
         """The ops under test and the checked reference, each with its own
         count and with fresh copies of the same ``p`` streams, drawn in
         blocks of ``draws + 1``."""
@@ -297,7 +299,7 @@ class TestRangeProofs:
             streams = None
             if mode is RoundingMode.STOCHASTIC:
                 streams = ColumnStreams([make_stream(7, j) for j in range(p)], fmt, draws + 1)
-            return _FixedOps(fmt, mode, streams, "float", SaturationStats())
+            return _FixedOps(fmt, mode, streams, sqrt_path, SaturationStats())
 
         return ops(), ops()
 
@@ -306,6 +308,23 @@ class TestRangeProofs:
         assert ops.stats.events == ref.stats.events
         if ops.col_rngs is not None:
             assert ops.col_rngs.take((1, p)).tolist() == ref.col_rngs.take((1, p)).tolist()
+
+    @staticmethod
+    def checks(call):
+        """``call()`` and the number of narrowing checks (``_saturate``
+        calls) it made: a skip shows as a check fewer."""
+        calls = 0
+        saturate = fixedpoint._saturate
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return saturate(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fixedpoint, "_saturate", counted)
+            result = call()
+        return result, calls
 
     @pytest.mark.parametrize(
         "n, max_abs", [(1, 0), (2, 1), (64, 0)], ids=["at-ubound", "below-ubound", "far-above"]
@@ -319,7 +338,7 @@ class TestRangeProofs:
         a = FixedMatrix(np.array([[m_abs] * n, [-m_abs] * n, [m_abs // 3] * n]), fmt)
         v = np.array([[one, -one, one // 2], [one, -one, -one // 7]] * (n // 2 or 1))[:n]
         ops, ref = self.ops_pair(fmt, mode, 3, 3)
-        got, bound = ops._product(a, v)
+        got, bound = ops.matmul(a, v)
         want = ref.cast(accumulate_product_wide(a, v, ref.stats))
         assert bound == n * m_abs
         assert got.tolist() == want.tolist()
@@ -337,9 +356,9 @@ class TestRangeProofs:
         u = np.array([[one, one // 3], [-one, -one], [one // 5, 0]])
         alpha = np.array([fmt.ubound - slack, fmt.ubound // 3])
         ops, ref = self.ops_pair(fmt, mode, 2, 6)
-        got, bound = ops.step(a, v, u, alpha)
+        got, bound = ops.step(a, v, u, alpha, int(alpha.max()))
         want = ref.sub(ref.cast(accumulate_product_wide(a, v, ref.stats)), ref.mul(u, alpha))
-        assert bound is None
+        assert bound == np.abs(want).max()  # the difference was checked: re-read
         assert got.tolist() == want.tolist()
         assert ref.stats.events == (2 if slack == 0 else 0)
         self.assert_same_counts_and_streams(ops, ref, 2)
@@ -355,16 +374,16 @@ class TestRangeProofs:
         u = np.array([[-one, one, 3], [one, -one, -one], [0, one // 3, one]])
         alpha = np.array([fmt.ubound - slack - big, fmt.ubound // 5, 0])
         ops, ref = self.ops_pair(fmt, mode, 3, 6)
-        got, bound = ops.step(a, v, u, alpha)
+        got, bound = ops.step(a, v, u, alpha, int(alpha.max()))
         want = ref.sub(ref.cast(accumulate_product_wide(a, v, ref.stats)), ref.mul(u, alpha))
         assert got.tolist() == want.tolist()
         assert ref.stats.events == (slack == 0)
         self.assert_same_counts_and_streams(ops, ref, 3)
         if slack:
             assert bound == fmt.ubound - 1 and np.abs(got).max() == bound
-            assert ops.norm_cols(got, bound).tolist() == ref.norm_cols(want).tolist()
+            assert ops.norm_cols(got, bound)[0].tolist() == ref.norm_cols(want)[0].tolist()
         else:
-            assert bound is None
+            assert bound == np.abs(want).max()  # the difference was checked: re-read
 
     @pytest.mark.parametrize("rep", ["ubound", "lbound"])
     def test_norm_bound_at_the_wide_bound(self, fmt, mode, rep):
@@ -375,28 +394,138 @@ class TestRangeProofs:
         assert (2 * cell * cell <= fmt.wide_ubound) == (rep == "ubound")
         reps = np.array([[cell, 3], [cell, -fmt.one]])
         ops, ref = self.ops_pair(fmt, mode, 2, 0)
-        got = ops.norm_cols(reps, abs(cell))
-        assert got.tolist() == ref.norm_cols(reps).tolist()
+        got, _ = ops.norm_cols(reps, abs(cell))
+        assert got.tolist() == ref.norm_cols(reps)[0].tolist()
         assert ops.stats.events == ref.stats.events
         assert ref.stats.events == 1 + (rep == "lbound")
+
+
+    @pytest.mark.parametrize("sqrt_path", SQRT_PATHS)
+    @pytest.mark.parametrize(
+        "m, over", [(1, 1), (1, 0), (4, 1), (4, 0)],
+        ids=["one-row-at-bound", "one-row-below", "four-rows-at-bound", "four-rows-below"],
+    )
+    def test_norm_root_bound(self, fmt, mode, sqrt_path, m, over):
+        # m S**2 is ubound**2 or (ubound + 1)**2 at the bound, where the root
+        # of column 0 reaches ubound, and (ubound - 1)**2 one below
+        ub = fmt.ubound
+        cell = (ub - 1) // 2 + over if m == 4 else ub - 1 + over
+        reps = np.array([[cell * (-1) ** i, i] for i in range(m)])
+        ops, ref = self.ops_pair(fmt, mode, 2, 0, sqrt_path)
+        (got, top), checks = self.checks(lambda: ops.norm_cols(reps, cell))
+        want, _ = ref.norm_cols(reps)
+        assert got.tolist() == want.tolist()
+        assert top == want.max()
+        assert checks == over
+        assert ref.stats.events == over
+        self.assert_same_counts_and_streams(ops, ref, 2)
+
+    @pytest.mark.parametrize("over", [1, 0], ids=["at-bound", "below"])
+    def test_negation_bound(self, fmt, mode, over):
+        # -(-Z) reaches ubound when the bound Z is ubound
+        bound = fmt.ubound - 1 + over
+        a = np.array([-bound, bound, 5, 0])
+        ops, ref = self.ops_pair(fmt, mode, 4, 0)
+        got, checks = self.checks(lambda: ops.neg(a, bound))
+        assert got.tolist() == ref.neg(a).tolist()
+        assert checks == over
+        assert ref.stats.events == over
+        self.assert_same_counts_and_streams(ops, ref, 4)
+
+    @pytest.mark.parametrize("sqrt_path", SQRT_PATHS)
+    @pytest.mark.parametrize("over", [1, 0], ids=["at-bound", "below"])
+    def test_rotation_bound(self, fmt, mode, sqrt_path, over):
+        # 2 M is ubound + 1 at the bound and ubound - 1 one below; the larger
+        # bound is a's in the first call and b's in the second
+        bound = (fmt.ubound - 1) // 2 + over
+        a = np.array([bound, -bound, bound, 3, 0])
+        b = np.array([bound // 2, -bound // 2, 0, -7, 0])
+        ops, ref = self.ops_pair(fmt, mode, 5, 2, sqrt_path)
+        (first, second), checks = self.checks(
+            lambda: (ops.rotate(a, b, bound, bound // 2), ops.rotate(b, a, bound // 2, bound))
+        )
+        for (c, s, r, r_bound), lanes in zip((first, second), ((a, b), (b, a))):
+            assert np.stack((c, s, r)).tolist() == np.stack(ref.rotate(*lanes)[:3]).tolist()
+            assert r_bound == (np.abs(r).max() if over else 2 * bound)
+        assert checks == 2 * over
+        self.assert_same_counts_and_streams(ops, ref, 5)
+
+    @pytest.mark.parametrize("over", [1, 0], ids=["at-bound", "below"])
+    def test_coefficient_product_bound(self, fmt, mode, over):
+        # factors |a| <= one times the rows of b, bounded by T and 11:
+        # one * T reaches ubound << FL when T = ubound; then the rows swapped
+        one, bound = fmt.one, fmt.ubound - 1 + over
+        a = np.array([[one, -one, one // 3], [one // 2, one, -one]])
+        b = np.array([[bound, bound, -bound], [5, -7, 11]])
+        ops, ref = self.ops_pair(fmt, mode, 3, 4)
+        (first, second), checks = self.checks(
+            lambda: (ops.mul(a, b, (bound, 11)), ops.mul(a[::-1], b[::-1], (11, bound)))
+        )
+        assert first.tolist() == ref.mul(a, b).tolist()
+        assert second.tolist() == ref.mul(a[::-1], b[::-1]).tolist()
+        assert checks == 2 * over
+        assert ref.stats.events == 2 * over
+        self.assert_same_counts_and_streams(ops, ref, 3)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["product-at-bound", "product-below", "product-rounds-to-bound", "sum-at-bound", "sum-below"],
+    )
+    def test_update_bound(self, fmt, mode, case):
+        # y +- cast(x coef), with bounds Y, X and Q on one row of three lanes:
+        # - product-*: X Q is ubound one (at the bound) or (ubound - 1) one;
+        # - product-rounds-to-bound: X Q lies strictly between those, where
+        #   ceil(X Q / one) = ubound and the cast may round up to ubound;
+        # - sum-*: Y + T is ubound (at the bound) or ubound - 1, with T = one.
+        one, ub = fmt.one, fmt.ubound
+        if case.startswith("product"):
+            y_bound, coef_bound = 0, one
+            x_bound = ub - (case == "product-below")
+            if case == "product-rounds-to-bound":
+                coef_bound = one + 1
+                x_bound = (ub * one - 1) // coef_bound
+                assert (ub - 1) * one < x_bound * coef_bound < ub * one
+            checks_per_call = 0 if case == "product-below" else 2
+        else:
+            x_bound = coef_bound = one
+            y_bound = ub - one - (case == "sum-below")
+            checks_per_call = case == "sum-at-bound"
+        y = np.array([[y_bound, -y_bound, 0]])
+        x = np.array([[x_bound, -x_bound, 3]])
+        coef = np.array([[coef_bound, coef_bound, -coef_bound]])
+        bounds = (y_bound, x_bound, coef_bound)
+        ops, ref = self.ops_pair(fmt, mode, 3, 2)
+        results, checks = self.checks(
+            lambda: [ops.update(y, x, coef, bounds, plus) for plus in (True, False)]
+        )
+        for (got, bound), generic in zip(results, (ref.add, ref.sub)):
+            want = generic(y, ref.mul(x, coef))
+            assert got.tolist() == want.tolist()
+            assert bound == (np.abs(want).max() if checks_per_call else y_bound + x_bound)
+        assert checks == 2 * checks_per_call
+        # at the product bound lane 0's product reaches ubound << FL, and so
+        # does one sum of each call; at the sum bound lane 0's sum reaches it
+        if case != "product-rounds-to-bound":
+            assert ref.stats.events == {"product-at-bound": 4, "sum-at-bound": 1}.get(case, 0)
+        self.assert_same_counts_and_streams(ops, ref, 3)
 
 
 class TestKernelLookups:
     # Calls per fixed solve of a 9 x 4 system, 3 columns, 4 iterations.  Each
     # of the 8 rotations computes its 3 quotients with trunc_div_array (24 of
-    # the 38 calls), narrows r (one cast_wide_simple_array call) and rounds
-    # other through cast_wide_array; its root is taken inline, which these
-    # counts leave out.  The 10 unit normalisations divide unchecked, and
-    # each iteration's three coefficient quotients are one div.  Stacked
-    # per-lane products make 12 cast_wide_array calls an iteration, after 2
-    # before the loop.  This system meets the residual bound (n max|a| plus
-    # the largest norm stays below ubound), so neither residual of an
-    # iteration calls cast_wide_simple_array: 7 calls an iteration remain.
+    # the 38 calls) and rounds other through cast_wide_array; its root is
+    # taken inline, which these counts leave out.  The 10 unit normalisations
+    # divide unchecked, and each iteration's three coefficient quotients are
+    # one div.  Stacked per-lane products make 12 cast_wide_array calls an
+    # iteration, after 2 before the loop.  Every bound of this system stays
+    # below ubound, so no rotation's r, negation, residual or hbar / x / h
+    # update calls cast_wide_simple_array: only the div of each iteration
+    # does.  Every norm still calls float_sqrt_array, with its own checked=.
     EXPECTED = {
         "accumulate_product_wide": 9,
         "trunc_div_array": 38,
         "cast_wide_array": 50,
-        "cast_wide_simple_array": 28,
+        "cast_wide_simple_array": 4,
         "sum_squares_wide": 10,
         "float_sqrt_array": 10,
     }
@@ -778,3 +907,131 @@ class TestOracle:
             if words.gen is not None:
                 assert gen.random() == words.gen.random()
         assert stats.events == events > 0
+
+
+class CheckedOps(_FixedOps):
+    """``_FixedOps`` with every bound disabled: each narrowing that a bound
+    would let it skip, and each unit normalisation, is checked."""
+
+    NO_BOUND = 1 << 64  # above every magnitude, so it proves nothing
+
+    def matmul(self, a, units):
+        return self.cast(accumulate_product_wide(a, units, self.stats)), self.NO_BOUND
+
+    def unit(self, vec, norm):
+        return self.div(vec, norm), self.NO_BOUND
+
+    def step(self, a, v, u, alpha, alpha_bound):
+        return super().step(a, v, u, alpha, self.NO_BOUND)
+
+    def norm_cols(self, reps, bound=None):
+        return super().norm_cols(reps)
+
+    def rotate(self, a, b, a_bound=None, b_bound=None):
+        return super().rotate(a, b)
+
+    def mul(self, a, b, b_bounds=None):
+        return super().mul(a, b)
+
+    def neg(self, a, bound=None):
+        return super().neg(a)
+
+    def update(self, y, x, coef, bounds, plus=False):
+        return super().update(y, x, coef, (self.NO_BOUND,) * 3, plus)
+
+
+def peak(arr) -> int:
+    return int(np.abs(arr).max(initial=0))
+
+
+class AuditedOps(_FixedOps):
+    """``_FixedOps`` that asserts every bound it takes or returns against the
+    magnitudes it bounds, and computes nothing else."""
+
+    def unit(self, vec, norm):
+        quotient, bound = super().unit(vec, norm)
+        assert peak(quotient) <= bound
+        return quotient, bound
+
+    def matmul(self, a, units):
+        assert peak(units) <= self.fmt.one
+        prod, bound = super().matmul(a, units)
+        assert peak(prod) <= bound
+        return prod, bound
+
+    def step(self, a, v, u, alpha, alpha_bound):
+        assert peak(u) <= self.fmt.one and peak(alpha) <= alpha_bound
+        residual, bound = super().step(a, v, u, alpha, alpha_bound)
+        assert peak(residual) <= bound
+        return residual, bound
+
+    def norm_cols(self, reps, bound=None):
+        assert bound is None or peak(reps) <= bound
+        norms, top = super().norm_cols(reps, bound)
+        assert peak(norms) <= top
+        return norms, top
+
+    def rotate(self, a, b, a_bound=None, b_bound=None):
+        assert a_bound is None or peak(a) <= a_bound
+        assert b_bound is None or peak(b) <= b_bound
+        c, s, r, bound = super().rotate(a, b, a_bound, b_bound)
+        assert max(peak(c), peak(s)) <= self.fmt.one and peak(r) <= bound
+        return c, s, r, bound
+
+    def mul(self, a, b, b_bounds=None):
+        assert b_bounds is None or peak(a) <= self.fmt.one and peak(b) <= max(b_bounds)
+        return super().mul(a, b, b_bounds)
+
+    def neg(self, a, bound=None):
+        assert bound is None or peak(a) <= bound
+        return super().neg(a, bound)
+
+    def update(self, y, x, coef, bounds, plus=False):
+        assert all(peak(val) <= bound for val, bound in zip((y, x, coef), bounds))
+        total, bound = super().update(y, x, coef, bounds, plus)
+        assert peak(total) <= bound
+        return total, bound
+
+
+class TestForcedChecks:
+    """A solve that skips the checks its bounds prove dead equals the same
+    solve with every check forced (``CheckedOps``): its solution, its
+    saturation count and each stream's next draw.  The skipping solve runs
+    through ``AuditedOps``, so every bound it carries is seen to hold."""
+
+    @staticmethod
+    def solve(ops_class, a, b, iters, mode, sqrt_path):
+        gens = [make_stream(8, j) for j in range(b.shape[1])]
+        stats = SaturationStats()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lsmr_module, "_FixedOps", ops_class)
+            x = lsmr_solve_multi(LsmrJob(a, b, iters), mode, gens, sqrt_path, stats)
+        return x.data.tolist(), stats.events, [gen.random() for gen in gens]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        partitioned_systems(),
+        st.sampled_from([1.0, 30.0, 3000.0]),
+        st.sampled_from([FIXED16, FIXED32]),
+        st.sampled_from(list(RoundingMode)),
+        st.sampled_from(SQRT_PATHS),
+    )
+    def test_solve(self, system, scale, fmt, mode, sqrt_path):
+        # scale 30 saturates fixed16 (ubound about 32) and 3000 saturates
+        # quotients, norms and products in both formats
+        a, b, _, iters = system
+        af, bf = quantize_matrix(a * scale, fmt), quantize_matrix(b * scale, fmt)
+        got = self.solve(AuditedOps, af, bf, iters, mode, sqrt_path)
+        assert got == self.solve(CheckedOps, af, bf, iters, mode, sqrt_path)
+
+    @pytest.mark.parametrize("sqrt_path", SQRT_PATHS)
+    @pytest.mark.parametrize("mode", list(RoundingMode), ids=[m.value for m in RoundingMode])
+    @pytest.mark.parametrize("fmt", [FIXED16, FIXED32], ids=["fixed16", "fixed32"])
+    def test_saturating_solve(self, fmt, mode, sqrt_path):
+        rng = np.random.default_rng(20)
+        scale = fmt.ubound_value / 8
+        a = quantize_matrix(rng.uniform(-scale, scale, (9, 5)), fmt)
+        b = quantize_matrix(rng.uniform(-scale, scale, (9, 4)), fmt)
+        got = self.solve(AuditedOps, a, b, 8, mode, sqrt_path)
+        assert got[1] > 0
+        assert got == self.solve(CheckedOps, a, b, 8, mode, sqrt_path)
