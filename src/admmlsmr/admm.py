@@ -17,6 +17,7 @@ dequantized back.
 from __future__ import annotations
 
 import contextlib
+import functools
 import time
 from dataclasses import dataclass, field, fields
 from typing import Sequence
@@ -38,7 +39,9 @@ from .fixedpoint import (
 from .lsmr import SQRT_PATHS, LsmrJob, lsmr_solve_multi
 from .matrix import FixedMatrix, quantize_matrix
 
-ARITHMETICS = ("real", "fixed16", "fixed32")
+# each arithmetic's word format; None is float64
+FORMATS: dict[str, FixedFormat | None] = {"real": None, "fixed16": FIXED16, "fixed32": FIXED32}
+ARITHMETICS = tuple(FORMATS)
 
 # spawn-key tags for the derived random streams
 _TAG_INIT = 1
@@ -56,9 +59,11 @@ class NetworkConfig:
 
     ``layer_dims`` lists the feature count, each hidden width, and the output
     width; ``beta``/``gamma`` may be scalars (broadcast to every layer) or
-    per-layer sequences.  ``workers`` only sets how many column ranges the
-    output-layer weight solve is split into (at most the output width); every
-    other solve is one block, and no split changes a bit of the result.
+    per-layer sequences, and once built the config holds one float per
+    weight layer in ``beta`` and one per hidden layer in ``gamma``.
+    ``workers`` only sets how many column ranges the output-layer weight
+    solve is split into (at most the output width); every other solve is one
+    block, and no split changes a bit of the result.
     """
 
     layer_dims: Sequence[int]
@@ -88,19 +93,13 @@ class NetworkConfig:
         if self.sqrt_path not in SQRT_PATHS:
             raise ValueError(f"sqrt_path must be one of {SQRT_PATHS}")
         self.layer_dims = dims
-        self.betas()
-        self.gammas()
+        self.beta = self._expand(self.beta, self.layer_count)
+        self.gamma = self._expand(self.gamma, self.layer_count - 1)
 
     @property
     def layer_count(self) -> int:
         """Number of weight layers."""
         return len(self.layer_dims) - 1
-
-    def betas(self) -> list[float]:
-        return self._expand(self.beta, self.layer_count)
-
-    def gammas(self) -> list[float]:
-        return self._expand(self.gamma, self.layer_count - 1)
 
     @staticmethod
     def _expand(value, n: int) -> list[float]:
@@ -118,11 +117,7 @@ class NetworkConfig:
         return out
 
     def fixed_format(self) -> FixedFormat | None:
-        if self.arithmetic == "fixed16":
-            return FIXED16
-        if self.arithmetic == "fixed32":
-            return FIXED32
-        return None
+        return FORMATS[self.arithmetic]
 
 
 @dataclass
@@ -317,41 +312,33 @@ class SolveEngine:
         depend on it.
         """
         prep_start = time.perf_counter()
-        iters = self.cfg.lsmr_iterations
         p = b.shape[1]
-
         keys = None
-        if self.fmt is None:
-            a_solver: np.ndarray | FixedMatrix = a
-        else:
+        if self.fmt is not None:
             q_rng = None
             if self.mode is RoundingMode.STOCHASTIC:
                 q_rng = make_stream(self.cfg.seed, _TAG_QUANTIZE, job_id)
                 keys = stream_keys(self.cfg.seed, (_TAG_ROUND, job_id), np.arange(p)).tolist()
-            a_solver = quantize_matrix(a, self.fmt, self.mode, q_rng, self.saturation)
+            a = quantize_matrix(a, self.fmt, self.mode, q_rng, self.saturation)
             b = quantize_matrix(b, self.fmt, self.mode, q_rng, self.saturation)
-
-        def make_task(cols: np.ndarray):
-            def task() -> np.ndarray:
-                if self.fmt is None:
-                    b_cols = b[:, cols]
-                else:
-                    b_cols = FixedMatrix(b.data[:, cols], self.fmt)
-                res = lsmr_solve_multi(
-                    LsmrJob(a_solver, b_cols, iters),
-                    self.mode,
-                    None if keys is None else self._round_streams(keys, cols),
-                    sqrt_path=self.cfg.sqrt_path,
-                    stats=self.saturation,
-                )
-                return res if self.fmt is None else res.to_real()
-
-            return task
-
         ranges = np.array_split(np.arange(p), max(1, min(chunks, p)))
-        tasks = [make_task(cols) for cols in ranges]
+        tasks = [functools.partial(self._solve_cols, a, b, keys, cols) for cols in ranges]
         parts: list[np.ndarray] = []
         return tasks, parts.append, lambda: np.hstack(parts), time.perf_counter() - prep_start
+
+    def _solve_cols(self, a, b, keys: list | None, cols: np.ndarray) -> np.ndarray:
+        """Columns ``cols`` of the solution of ``a X ~= b`` (quantized in a
+        fixed solve) in doubles; ``keys`` are a stochastic solve's column keys."""
+        fixed = self.fmt is not None
+        res = lsmr_solve_multi(
+            LsmrJob(a, FixedMatrix(b.data[:, cols], self.fmt) if fixed else b[:, cols],
+                    self.cfg.lsmr_iterations),
+            self.mode,
+            None if keys is None else self._round_streams(keys, cols),
+            sqrt_path=self.cfg.sqrt_path,
+            stats=self.saturation,
+        )
+        return res.to_real() if fixed else res
 
     def _round_streams(self, keys: list, cols: np.ndarray) -> list[np.random.Generator]:
         """The column streams of ``cols`` in a stochastic solve whose column
@@ -446,8 +433,6 @@ def train(
         )
     rng = make_stream(cfg.seed, _TAG_INIT)
     report = TrainReport(config=_config_echo(cfg))
-    betas = cfg.betas()
-    gammas = cfg.gammas()
     n_layers = cfg.layer_count
     engine = SolveEngine(cfg)
 
@@ -464,7 +449,7 @@ def train(
             for l in range(n_layers - 1):
                 state.x[l], secs = activation_update(
                     state.weights[l + 1], state.z[l + 1], state.z[l],
-                    betas[l + 1], gammas[l], engine, jobs + 2 * l + 2,
+                    cfg.beta[l + 1], cfg.gamma[l], engine, jobs + 2 * l + 2,
                 )
                 timings.activation += secs
 
@@ -479,14 +464,14 @@ def train(
             t0 = time.perf_counter()
             for l in range(n_layers - 1):
                 state.z[l] = z_update_hidden(
-                    state.x[l], state.weights[l] @ inputs[l], gammas[l], betas[l]
+                    state.x[l], state.weights[l] @ inputs[l], cfg.gamma[l], cfg.beta[l]
                 )
             b_out = state.weights[-1] @ inputs[-1]
-            state.z[-1] = z_update_output(y, b_out, state.lam, betas[-1])
+            state.z[-1] = z_update_output(y, b_out, state.lam, cfg.beta[-1])
             timings.output += time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            state.lam = lagrangian_update(state.lam, betas[-1], state.z[-1], b_out)
+            state.lam = lagrangian_update(state.lam, cfg.beta[-1], state.z[-1], b_out)
             timings.lagrangian += time.perf_counter() - t0
 
             report.timings.append(timings)
@@ -536,8 +521,8 @@ def _config_echo(cfg: NetworkConfig) -> dict:
         "iterations": cfg.iterations,
         "arithmetic": cfg.arithmetic,
         "rounding": cfg.rounding.value,
-        "beta": cfg.betas(),
-        "gamma": cfg.gammas(),
+        "beta": list(cfg.beta),
+        "gamma": list(cfg.gamma),
         "seed": cfg.seed,
         "workers": cfg.workers,
         "lsmr_iterations": cfg.lsmr_iterations,

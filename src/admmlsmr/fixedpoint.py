@@ -58,7 +58,9 @@ class FixedFormat:
     which sit right of the binary point.
 
     Only 16- and 32-bit words are supported; the fraction length must leave at
-    least one integer bit beside the sign.
+    least one integer bit beside the sign, and ``word_length +
+    fraction_length <= 53`` (FL <= 21 in 32 bits) keeps every rep shifted
+    by FL within the exact range of ``trunc_div_array``.
     """
 
     word_length: int
@@ -68,7 +70,9 @@ class FixedFormat:
         wl = _integer("word_length", self.word_length, error=FixedFormatError)
         if wl not in (16, 32):
             raise FixedFormatError(f"word_length must be 16 or 32, got {wl}")
-        fl = _integer("fraction_length", self.fraction_length, 1, wl - 2, FixedFormatError)
+        fl = _integer(
+            "fraction_length", self.fraction_length, 1, min(wl - 2, 53 - wl), FixedFormatError
+        )
         # stored as ints: an int64 word length would overflow the wide bounds
         object.__setattr__(self, "word_length", wl)
         object.__setattr__(self, "fraction_length", fl)
@@ -526,8 +530,9 @@ def trunc_div_array(num: np.ndarray, den: np.ndarray | int) -> np.ndarray:
     unchecked: ``den`` is non-zero and ``|num| < 2**53``.  Its callers are
     ``_FixedOps.div`` and ``_FixedOps.unit``, which read a zero divisor as
     one, and the fixed Givens rotation, whose ranges keep its divisors
-    non-zero; each numerator there is a word rep shifted by FL, below 2**49
-    in FIXED32 and 2**25 in FIXED16.
+    non-zero; each numerator there is a word rep shifted by FL, at most
+    2**(WL - 1 + FL) <= 2**52 in magnitude, since ``FixedFormat`` keeps
+    ``WL + FL <= 53``.
 
     The int64 result is ``trunc(float64(num) / float64(den))``, which is
     exact.  ``num`` converts exactly, and so does ``den`` when

@@ -28,8 +28,6 @@ from .fixedpoint import (
     RoundingMode,
     SaturationStats,
     _integer,
-    _isqrt_array,
-    _round_root,
     cast_wide_array,
     cast_wide_simple_array,
     float_sqrt_array,
@@ -142,7 +140,9 @@ class _FixedOps:
     (``lbound < -ubound``), and their cast lies in ``[-T, T]`` in every
     mode, since ``T one`` is a multiple of ``one`` and every bias lies in
     ``[0, one)``.  A checked cast keeps that bound, since its clamp only
-    moves a cell toward zero.
+    moves a cell toward zero.  The root kernel, ``float_sqrt_array`` or
+    ``integer_sqrt_array`` by ``sqrt_path``, is picked once: the norms and
+    the rotations both take their roots through it.
     """
 
     zero = np.int64(0)
@@ -159,8 +159,8 @@ class _FixedOps:
         self.fmt = fmt
         self.mode = mode
         self.col_rngs = col_rngs
-        self.sqrt_path = sqrt_path
         self.stats = stats
+        self._sqrt = float_sqrt_array if sqrt_path == "float" else integer_sqrt_array
         # 0-d arrays: numpy combines them with arrays faster than scalars
         self.one = np.array(fmt.one)
         self._fl = np.array(fmt.fraction_length)
@@ -209,22 +209,24 @@ class _FixedOps:
         return cast_wide_simple_array(q, self.fmt, self.stats)
 
     def unit(self, vec: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, int]:
-        """``div(vec, norm)`` for a column ``norm`` of ``vec`` itself, which
-        skips the narrowing check: no quotient can reach a bound; and the
-        bound ``one`` of every quotient.
+        """``div(vec, norm)`` for a divisor ``norm`` at least its dividend
+        in magnitude, cell by cell, or zero, which skips the narrowing check:
+        no quotient can reach a bound; and the bound ``one`` of every
+        quotient.
 
-        ``norm`` is the rounded or clamped root of a sum of squares that is
-        at least ``vec_i**2`` (the sum only grows, and a saturated one sits
-        at the wide bound, above every square of a rep).  The integer root
-        is monotone.  The float root is at least ``|vec_i| (1 - 2**-52)``,
-        since converting the sum and taking the root each lose a relative
-        2**-53 at most, and that is above ``|vec_i| - 1/2``, so rounding it
-        to nearest gives at least ``|vec_i|``.  The clamp at the upper bound
-        keeps that, since ``|vec_i|`` is itself a rep.  So
-        ``norm >= |vec_i|`` and the truncated quotient has magnitude at most
-        ``one``, strictly inside the bounds when the format has an integer
-        bit beside the sign.  A zero norm means a zero vector, whose
-        quotient by one is zero.
+        The truncated quotient then has magnitude at most ``one``, strictly
+        inside the bounds when the format has an integer bit beside the
+        sign; a zero divisor has a zero dividend, whose quotient by one is
+        zero.  A rotation's larger input meets this for its smaller one, and
+        a column norm of ``vec`` for ``vec`` itself: the rounded or clamped
+        root of a sum of squares that is at least ``vec_i**2`` (the sum only
+        grows, and a saturated one sits at the wide bound, above every
+        square of a rep).  The integer root is monotone.  The float root is
+        at least ``|vec_i| (1 - 2**-52)``, since converting the sum and
+        taking the root each lose a relative 2**-53 at most, and that is
+        above ``|vec_i| - 1/2``, so rounding it to nearest gives at least
+        ``|vec_i|``.  The clamp at the upper bound keeps that, since
+        ``|vec_i|`` is itself a rep.
         """
         quotient = trunc_div_array(vec << self._fl, np.where(norm == 0, self.one, norm))
         return quotient, self.fmt.one
@@ -323,8 +325,7 @@ class _FixedOps:
         wide = sum_squares_wide(reps, self.fmt, self.stats, bound=bound)
         ubound = self.fmt.ubound
         checked = bound is None or reps.shape[0] * bound * bound > (ubound - 1) ** 2
-        sqrt = float_sqrt_array if self.sqrt_path == "float" else integer_sqrt_array
-        norms = sqrt(wide, self.fmt, self.stats, checked=checked)
+        norms = self._sqrt(wide, self.fmt, self.stats, checked=checked)
         return norms, int(norms.max(initial=0))
 
     def bounds(self, rows: np.ndarray) -> list[int]:
@@ -345,22 +346,24 @@ class _FixedOps:
         keeps its ``cast_wide_array`` call, through which it draws, but
         unchecked:
 
-        - ``|small| <= |big|``, so ``|tau| <= one``: its narrowing cannot
-          saturate.  Its zero guard is live: ``big`` is 0 on a (0, 0) lane.
+        - ``|small| <= |big|``, so ``tau`` is a ``unit`` quotient:
+          ``|tau| <= one``, and its narrowing cannot saturate.  Its zero
+          guard is live: ``big`` is 0 on a (0, 0) lane.
         - ``one**2 <= one**2 + tau**2 <= 2 one**2`` (held exactly with 2*FL
           fraction bits), so ``one <= h <= sqrt(2) one + 1/2``: the root is
           never negative, NaN or saturated, since ``sqrt(2) one`` is below
           the upper bound when the format has an integer bit beside the
-          sign.  The float root rounds to nearest by ``_round_root``, as in
-          ``float_sqrt_array``.
+          sign.  So ``h`` comes from the norms' root kernel, unchecked.
         - ``h >= one``, so ``lead``'s divisor is never zero and ``|lead| <=
           one`` cannot saturate.  ``h <= 2 one``, so ``|lead| >= one/2``
           (``one/2`` is an integer, which truncation keeps), and ``r``'s
           divisor is never zero either.
         - ``|lead tau| <= one << FL``, far inside the shifted bounds, so
           ``other``'s cast skips its check.
-        - Every numerator is a rep shifted by FL, below 2**49, which meets
-          ``trunc_div_array``'s precondition ``|num| < 2**53``.
+        - Every numerator is a rep or ``+-one`` shifted by FL, at most
+          2**52 in magnitude (``FixedFormat`` keeps the word length plus FL
+          at most 53), which meets ``trunc_div_array``'s precondition
+          ``|num| < 2**53``.
         - ``|r| <= |big| one / |lead| <= 2 |big|``.  With bounds on ``|a|``
           and ``|b|`` whose largest is ``M``, ``r`` is bounded by ``2 M`` and
           narrowed by ``_narrow``, so it is checked only if ``2 M >=
@@ -368,20 +371,15 @@ class _FixedOps:
         - A (0, 0) lane gets ``tau = 0``, ``h = lead = one`` and
           ``other = r = 0``, the identity rotation, with no mask.
         """
-        fl = self._fl
         take_b = np.abs(b) > np.abs(a)
         big = np.where(take_b, b, a)
         small = np.where(take_b, a, b)
-        tau = trunc_div_array(small << fl, np.where(big == 0, self.one, big))
-        wide = self._one_wide + tau * tau
-        if self.sqrt_path == "float":
-            h = _round_root(np.sqrt(wide))
-        else:
-            h = _isqrt_array(wide)
+        tau, _ = self.unit(small, big)
+        h = self._sqrt(self._one_wide + tau * tau, self.fmt, self.stats, checked=False)
         lead = trunc_div_array(np.where(big >= 0, self._one_wide, self._minus_one_wide), h)
         other = self.cast(lead * tau, checked=False)
         bound = None if a_bound is None or b_bound is None else 2 * max(a_bound, b_bound)
-        r, bound = self._narrow(trunc_div_array(big << fl, lead), bound)
+        r, bound = self._narrow(trunc_div_array(big << self._fl, lead), bound)
         return np.where(take_b, other, lead), np.where(take_b, lead, other), r, bound
 
 

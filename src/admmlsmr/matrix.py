@@ -33,8 +33,9 @@ class FixedMatrix:
     in ``[fmt.lbound, fmt.ubound]``.  It keeps a private C-contiguous copy
     and makes it read-only, so neither an in-place write nor the caller's
     array can change it later.  An in-range rep's square fits int64, so sums
-    of squares are never negative, and a rep shifted by FL stays below
-    2**49, so the square roots and the truncating division check nothing
+    of squares are never negative, and a rep shifted by FL stays at most
+    2**52 in magnitude (``FixedFormat`` keeps the word length plus FL at
+    most 53), so the square roots and the truncating division check nothing
     per call.
 
     Because the reps never change, what the wide MAC prepares from them is

@@ -1,6 +1,7 @@
 """Trainer tests: closed-form updates, solver-backed procedures, full sweeps."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import threading
 import warnings
@@ -230,8 +231,24 @@ class TestInit:
         assert NetworkConfig([4, 8, 3], seed=np.uint64(7)).seed == 7
         # a 0-d array is one penalty for every layer, like a scalar
         cfg = NetworkConfig([4, 8, 3], beta=np.array(2.0), gamma=np.float32(0.5))
-        assert (cfg.betas(), cfg.gammas()) == ([2.0, 2.0], [0.5])
+        assert (cfg.beta, cfg.gamma) == ([2.0, 2.0], [0.5])
         assert NetworkConfig([4, 8, 3], seed=2**70).seed == 2**70
+
+    def test_config_resolves_penalties_once(self, monkeypatch):
+        # a scalar penalty and its per-layer list make equal configs
+        assert NetworkConfig([4, 8, 3], beta=2.0) == NetworkConfig([4, 8, 3], beta=[2.0, 2.0])
+        expand, widths = NetworkConfig._expand, []
+        monkeypatch.setattr(
+            NetworkConfig, "_expand", staticmethod(lambda v, n: widths.append(n) or expand(v, n))
+        )
+        cfg = NetworkConfig([4, 8, 3], iterations=1, beta=[1.0, 2.0], gamma=0.5)
+        assert (cfg.beta, cfg.gamma, widths) == ([1.0, 2.0], [0.5], [2, 1])
+        moved = dataclasses.replace(cfg, iterations=5)
+        assert (moved.beta, moved.gamma, moved.iterations) == ([1.0, 2.0], [0.5], 5)
+        # training reads the resolved lists and expands nothing again
+        widths.clear()
+        _, report = train(cfg, tiny_dataset())
+        assert (report.config["beta"], report.config["gamma"], widths) == ([1.0, 2.0], [0.5], [])
 
 
 def make_engine(workers=1, **kw):
@@ -565,7 +582,7 @@ class TestTrain:
 
         state = init_network(cfg, ds.features, make_stream(cfg.seed, 1))
         engine = SolveEngine(cfg)
-        betas, gammas, n = cfg.betas(), cfg.gammas(), cfg.layer_count
+        betas, gammas, n = cfg.beta, cfg.gamma, cfg.layer_count
         for l in reversed(range(n - 1)):
             state.x[l], _ = activation_update(
                 state.weights[l + 1], state.z[l + 1], state.z[l],

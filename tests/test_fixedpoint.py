@@ -195,10 +195,11 @@ class TestFormat:
         assert FIXED32.ubound_value == 2.0**13 - 2.0**-18
         assert FIXED32.lbound_value == -(2.0**13)
 
-    # a word of sign and fraction bits only cannot hold one: (16, 15), (32, 31)
+    # a word of sign and fraction bits only cannot hold one: (16, 15), (32, 31);
+    # FL above 53 - WL shifts reps past trunc_div_array's exact range: (32, 22)
     @pytest.mark.parametrize(
-        "wl,fl", [(16, 0), (16, 15), (16, 16), (32, 31), (32, 40), (8, 4), (64, 18),
-                  (16.0, 10), (32, True)]
+        "wl,fl", [(16, 0), (16, 15), (16, 16), (32, 22), (32, 30), (32, 31), (32, 40), (8, 4),
+                  (64, 18), (16.0, 10), (32, True)]
     )
     def test_invalid_formats_rejected(self, wl, fl):
         with pytest.raises(FixedFormatError):
@@ -622,6 +623,22 @@ class TestArithmetic:
         assert got.dtype == np.int64 and got.shape == num.shape
         want = [oracle_trunc_div(int(n), int(d)) for n, d in zip(num.ravel(), den.ravel())]
         assert got.ravel().tolist() == want
+
+    @pytest.mark.parametrize("wl,fl", [(16, 14), (32, 21)])
+    def test_trunc_div_exact_at_widest_fraction_length(self, wl, fl):
+        # The widest admitted FL shifts reps up to 2**(WL - 1 + FL) <= 2**52.
+        # Each numerator falls 1 to 3 short of a multiple of its odd divisor,
+        # a quotient just below an integer, which a rounded division of a
+        # numerator past 2**53 would carry up (as at FL 24 in 32 bits).
+        fmt = FixedFormat(wl, fl)
+        assert -(fmt.lbound << fl) == 1 << (wl - 1 + fl) <= 1 << 52
+        rng = np.random.default_rng(21)
+        dens = rng.integers(fmt.one, fmt.ubound, 2000) | 1
+        reps = np.array([(-int(k) * pow(fmt.one, -1, int(d))) % int(d)
+                         for d, k in zip(dens, rng.integers(1, 4, dens.size))])
+        num = np.where(rng.random(dens.size) < 0.5, -reps, reps) << fl
+        want = [oracle_trunc_div(int(n), int(d)) for n, d in zip(num, dens)]
+        assert trunc_div_array(num, dens).tolist() == want
 
     @settings(max_examples=300, deadline=None)
     @given(word_divisions())

@@ -513,21 +513,22 @@ class TestRangeProofs:
 class TestKernelLookups:
     # Calls per fixed solve of a 9 x 4 system, 3 columns, 4 iterations.  Each
     # of the 8 rotations computes its 3 quotients with trunc_div_array (24 of
-    # the 38 calls) and rounds other through cast_wide_array; its root is
-    # taken inline, which these counts leave out.  The 10 unit normalisations
+    # the 38 calls), takes its root with float_sqrt_array (8 of the 18 calls)
+    # and rounds other through cast_wide_array.  The 10 unit normalisations
     # divide unchecked, and each iteration's three coefficient quotients are
     # one div.  Stacked per-lane products make 12 cast_wide_array calls an
     # iteration, after 2 before the loop.  Every bound of this system stays
     # below ubound, so no rotation's r, negation, residual or hbar / x / h
     # update calls cast_wide_simple_array: only the div of each iteration
-    # does.  Every norm still calls float_sqrt_array, with its own checked=.
+    # does.  Each of the 10 norms calls float_sqrt_array with its own
+    # checked=, and each rotation unchecked.
     EXPECTED = {
         "accumulate_product_wide": 9,
         "trunc_div_array": 38,
         "cast_wide_array": 50,
         "cast_wide_simple_array": 4,
         "sum_squares_wide": 10,
-        "float_sqrt_array": 10,
+        "float_sqrt_array": 18,
     }
 
     def test_solve_calls_kernels_through_the_lsmr_module(self, monkeypatch):
